@@ -6,7 +6,7 @@ whole classifier.  This demo cross-validates the level-set model and the
 Naive Bayes baseline on the horseshoe database for several betas and
 prints the resulting table; the baseline cannot react to beta at all.
 
-Takes about a minute.  Run:  python3 demos/05_beta_sweep.py
+Takes about ten seconds.  Run:  python3 demos/05_beta_sweep.py
 """
 import numpy as np
 from pathlib import Path

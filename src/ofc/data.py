@@ -26,7 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientClassError, InvalidDatabaseError, ParseError
+from .errors import (
+    InsufficientClassError,
+    InvalidDatabaseError,
+    NonFiniteError,
+    ParseError,
+)
 
 TOY_POS_MEAN = 3.0
 TOY_NEG_MEAN = 1.0
@@ -61,7 +66,7 @@ class LabeledDataset:
         if labels.shape != (len(pts),):
             raise ValueError("labels length does not match points")
         if not np.isfinite(pts).all():
-            raise ValueError("points must be finite")
+            raise NonFiniteError("points must be finite")
         self.points = pts
         self.labels = labels
 

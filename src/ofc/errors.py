@@ -18,6 +18,10 @@ class ParseError(DataError):
     """Malformed text input (CSV rows, field files, config files)."""
 
 
+class NonFiniteError(DataError):
+    """Points or values contain nan or infinity."""
+
+
 class DegenerateDataError(DataError):
     """Dataset cannot support the requested estimate (e.g. zero variance)."""
 

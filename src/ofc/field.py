@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     GridMismatchError,
     InvalidShapeError,
+    NonFiniteError,
     OutOfDomainError,
     ParseError,
 )
@@ -139,7 +140,8 @@ def interpolate(f: ScalarField, points, clamp: bool = True):
     """Multilinear interpolation at one point ``(d,)`` or a batch ``(n, d)``.
 
     Out-of-domain queries are clamped to the boundary unless ``clamp`` is
-    False, in which case they raise :class:`OutOfDomainError`.
+    False, in which case they raise :class:`OutOfDomainError`.  Queries
+    containing nan or infinity raise :class:`NonFiniteError`.
     """
     grid = f.grid
     pts = np.asarray(points, dtype=float)
@@ -147,6 +149,8 @@ def interpolate(f: ScalarField, points, clamp: bool = True):
     pts = np.atleast_2d(pts)
     if pts.shape[1] != grid.dim:
         raise ValueError(f"points have {pts.shape[1]} coords, grid has {grid.dim}")
+    if not np.isfinite(pts).all():
+        raise NonFiniteError("query points must be finite")
     lo, hi = grid.mins, grid.maxs
     if clamp:
         pts = np.clip(pts, lo, hi)

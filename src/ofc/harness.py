@@ -18,7 +18,15 @@ import numpy as np
 from scipy.special import ndtr
 
 from .classifier import fit as ofc_fit, predict as ofc_predict
-from .data import LabeledDataset, kfold
+from .data import (
+    TOY_NEG_COUNT,
+    TOY_NEG_MEAN,
+    TOY_POS_COUNT,
+    TOY_POS_MEAN,
+    TOY_SIGMA,
+    LabeledDataset,
+    kfold,
+)
 from .density import DensityPair
 from .errors import DegenerateDataError, DimensionError, OfcError
 from .field import GridSpec, ScalarField
@@ -29,9 +37,6 @@ from .metrics import (
     metrics_from_counts,
 )
 from .solver import TrainConfig
-
-TOY_POS_MEAN, TOY_NEG_MEAN, TOY_SIGMA = 3.0, 1.0, 1.0
-TOY_POS_COUNT, TOY_NEG_COUNT = 1000, 50000
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ is rejected and dt halved), periodic rebuilding of u as a signed distance
 function, and convergence declared when the sup-norm update stays below
 tol for 5 consecutive iterations.
 
-Reinitialization locates the zero crossings exactly on grid edges, seeds
-the adjacent nodes with their distance to the interpolated interface, and
-propagates distances outward by monotone fast sweeping.  The sign of u is
-preserved at every node, so the classifier is unchanged.
+Reinitialization is a closest-point transform.  It locates the zero
+crossings exactly on grid edges and gives each node next to one a foot
+point: the nearest point of the plane through its crossings.  Jump
+flooding then hands every other node the nearest of those feet, and its
+distance is the distance to that foot.  The sign of u is preserved at
+every node, so the classifier is unchanged.
 """
 from __future__ import annotations
 
@@ -39,7 +41,6 @@ from .field import (
 
 _CONSECUTIVE_FOR_CONVERGENCE = 5
 _MAX_DT_HALVINGS = 80
-_MAX_SWEEP_ROUNDS = 128
 _MIN_CELLS_PER_AXIS = 4
 
 
@@ -165,132 +166,53 @@ def has_sign_change(u: ScalarField) -> bool:
     return bool((u.values >= 0).any() and (u.values < 0).any())
 
 
-def _axis_crossing_distances(values: np.ndarray, spacing) -> list[np.ndarray]:
-    """Per axis: each node's distance to the nearest zero crossing on its
-    two incident edges along that axis (inf when neither edge crosses)."""
+def _axis_crossing_offsets(values: np.ndarray, spacing) -> list[np.ndarray]:
+    """Per axis: each node's signed offset along that axis to the nearer
+    zero crossing on its two incident edges (inf when neither edge crosses)."""
     out = []
     for ax in range(values.ndim):
-        d_ax = np.full(values.shape, np.inf)
         lo = [slice(None)] * values.ndim
         hi = [slice(None)] * values.ndim
         lo[ax], hi[ax] = slice(None, -1), slice(1, None)
         lo, hi = tuple(lo), tuple(hi)
         a, b = values[lo], values[hi]
         cross = ((a > 0) != (b > 0)) | (a == 0) | (b == 0)
-        den = a - b
-        t = np.divide(a, den, out=np.zeros_like(a), where=den != 0)
+        t = np.divide(a, a - b, out=np.zeros_like(a), where=a != b)
         h = spacing[ax]
-        near = np.where(b == 0, np.where(a == 0, 0.0, h), t * h)
-        far = np.where(a == 0, np.where(b == 0, 0.0, h), (1.0 - t) * h)
-        near = np.where(a == 0, 0.0, near)
-        far = np.where(b == 0, 0.0, far)
-        inf = np.inf
-        d_ax[lo] = np.minimum(d_ax[lo], np.where(cross, near, inf))
-        d_ax[hi] = np.minimum(d_ax[hi], np.where(cross, far, inf))
-        out.append(d_ax)
+        far = np.where(b == 0, 0.0, (1.0 - t) * h)
+        off = np.full(values.shape, np.inf)
+        off[lo] = np.where(cross, t * h, np.inf)
+        up = off[hi]
+        off[hi] = np.where(cross & (far < np.abs(up)), -far, up)
+        out.append(off)
     return out
 
 
-def _godunov(minima: list[np.ndarray], spacings: np.ndarray) -> np.ndarray:
-    """Distance update from per-axis neighbor minima: the smallest x with
-    sum over used axes of ((x - m_i)/h_i)^2 equal to 1, axes entering in
-    increasing order of m_i and only while x exceeds the next m."""
-    m = np.stack(np.broadcast_arrays(*minima), axis=-1)
-    h = np.empty_like(m)
-    h[...] = spacings
-    order = np.argsort(m, axis=-1, kind="stable")
-    m = np.take_along_axis(m, order, -1)
-    h = np.take_along_axis(h, order, -1)
-    inv2 = 1.0 / (h * h)
-    a = np.cumsum(inv2, -1)
-    b = np.cumsum(m * inv2, -1)
-    c = np.cumsum(m * m * inv2, -1)
-    x = m[..., 0] + h[..., 0]
-    for j in range(1, m.shape[-1]):
-        disc = b[..., j] ** 2 - a[..., j] * (c[..., j] - 1.0)
-        xj = (b[..., j] + np.sqrt(np.maximum(disc, 0.0))) / a[..., j]
-        x = np.where(x > m[..., j], xj, x)
-    return x
+def _flood_pass(foot, d2, coords, free, step: int) -> bool:
+    """Offer every node the feet of its neighbours at offsets in {-step, 0, step}^d.
 
-
-def _sweep_line(dist: np.ndarray, frozen: np.ndarray, h: float) -> None:
-    """Exact 1-D propagation: two running-minimum passes, in place."""
-    ramp = np.arange(dist.shape[0]) * h
-    fwd = np.minimum.accumulate(dist - ramp) + ramp
-    bwd = np.minimum.accumulate((dist + ramp)[::-1])[::-1] - ramp
-    dist[~frozen] = np.minimum(dist, np.minimum(fwd, bwd))[~frozen]
-
-
-_GROUP_CACHE: dict = {}
-
-
-def _diagonal_groups(shape: tuple) -> list:
-    """Node indices grouped by anti-diagonal (constant index sum).
-
-    Within one diagonal no node is another's stencil neighbor, so a whole
-    group updates at once while preserving the sequential sweep order.
+    A free node adopts a neighbour's foot when that foot is strictly
+    closer; ``foot`` and ``d2`` are updated in place.  Returns whether any
+    node changed.
     """
-    if shape in _GROUP_CACHE:
-        return _GROUP_CACHE[shape]
-    idx = np.indices(shape).reshape(len(shape), -1)
-    s = idx.sum(axis=0)
-    order = np.argsort(s, kind="stable")
-    cuts = np.searchsorted(s[order], np.arange(1, int(s.max()) + 1))
-    groups = [
-        tuple(idx[a][g] for a in range(len(shape)))
-        for g in np.split(order, cuts)
-    ]
-    if len(_GROUP_CACHE) > 8:
-        _GROUP_CACHE.clear()
-    _GROUP_CACHE[shape] = groups
-    return groups
-
-
-def _sweep_direction(view, fz, spacing, big, groups) -> bool:
-    shape = view.shape
     changed = False
-    for nodes in groups:
-        minima = []
-        for a in range(len(shape)):
-            ia = nodes[a]
-            gather = list(nodes)
-            gather[a] = np.maximum(ia - 1, 0)
-            lo = np.where(ia > 0, view[tuple(gather)], big)
-            gather[a] = np.minimum(ia + 1, shape[a] - 1)
-            hi = np.where(ia + 1 < shape[a], view[tuple(gather)], big)
-            minima.append(np.minimum(lo, hi))
-        cand = _godunov(minima, spacing)
-        cur = view[nodes]
-        better = (cand < cur) & ~fz[nodes]
+    for off in np.ndindex(*(3,) * d2.ndim):
+        shifts = [(o - 1) * step for o in off]
+        if not any(shifts) or any(abs(k) >= n for k, n in zip(shifts, d2.shape)):
+            continue
+        dst = tuple(slice(max(0, -k), n - max(0, k)) for k, n in zip(shifts, d2.shape))
+        src = tuple(slice(max(0, k), n - max(0, -k)) for k, n in zip(shifts, d2.shape))
+        offered = foot[(slice(None),) + src]
+        diff = coords[(slice(None),) + dst] - offered
+        diff *= diff
+        cand = diff.sum(axis=0)
+        better = cand < d2[dst]
+        better &= free[dst]
         if better.any():
             changed = True
-            view[nodes] = np.where(better, cand, cur)
+            np.copyto(d2[dst], cand, where=better)
+            np.copyto(foot[(slice(None),) + dst], offered, where=better)
     return changed
-
-
-def _fast_sweep(dist: np.ndarray, frozen: np.ndarray, spacing, big: float) -> None:
-    """Propagate distances outward from the frozen seed band, in place.
-
-    Orthant-ordered sweeps over anti-diagonal node groups; every update is
-    a monotone decrease, so cycling until nothing changes reaches the same
-    fixed point as a node-by-node sweep.
-    """
-    if dist.ndim == 1:
-        _sweep_line(dist, frozen, spacing[0])
-        return
-    groups = _diagonal_groups(dist.shape)
-    spac = np.asarray(spacing)
-    flips = [
-        tuple(slice(None, None, 1 if s == 0 else -1) for s in signs)
-        for signs in np.ndindex(*(2,) * dist.ndim)
-    ]
-    for _ in range(_MAX_SWEEP_ROUNDS):
-        changed = False
-        for flip in flips:
-            if _sweep_direction(dist[flip], frozen[flip], spac, big, groups):
-                changed = True
-        if not changed:
-            return
 
 
 def reinitialize(u: ScalarField) -> ScalarField:
@@ -301,19 +223,27 @@ def reinitialize(u: ScalarField) -> ScalarField:
     """
     if not has_sign_change(u):
         return u
-    grid = u.grid
-    big = 10.0 * (1.0 + math.hypot(*(hi - lo for lo, hi in grid.bounds)))
-    axis_dists = _axis_crossing_distances(u.values, grid.spacing)
-    inv = np.zeros(u.values.shape)
-    with np.errstate(divide="ignore"):
-        for d_ax in axis_dists:
-            inv += np.where(np.isfinite(d_ax), 1.0 / (d_ax * d_ax), 0.0)
-    frozen = inv > 0
-    with np.errstate(divide="ignore"):
-        dist = np.where(frozen, 1.0 / np.sqrt(inv), big)
-    _fast_sweep(dist, frozen, grid.spacing, big)
-    signed = np.where(u.values >= 0, dist, -dist)
-    return u.with_values(signed)
+    coords = np.stack(u.grid.mesh())
+    with np.errstate(all="ignore"):
+        # 0 where no incident edge crosses, inf on a node where u is zero
+        recip = np.stack([1.0 / o for o in _axis_crossing_offsets(u.values, u.grid.spacing)])
+        inv = (recip * recip).sum(axis=0)
+        plane = 1.0 / np.sqrt(inv)
+        # the plane through a seed's crossings has normal recip; its foot
+        # lies at x + recip / inv, which is x itself on a zero node
+        foot = np.where(np.isinf(inv), coords, coords + recip / inv)
+    seed = inv > 0
+    free = ~seed
+    foot[:, free] = np.inf
+    d2 = np.where(seed, plane * plane, np.inf)
+    step = 1 << max(0, (max(d2.shape) - 1).bit_length() - 1)
+    while step > 1:
+        _flood_pass(foot, d2, coords, free, step)
+        step //= 2
+    while _flood_pass(foot, d2, coords, free, 1):
+        pass
+    dist = np.where(seed, plane, np.sqrt(d2))
+    return u.with_values(np.where(u.values >= 0, dist, -dist))
 
 
 def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):

@@ -160,6 +160,21 @@ def test_predict_on_malformed_model_is_data_error(tmp_path, separable_csv):
                "--label-column", -1, "--out", tmp_path / "l.csv") == 2
 
 
+def test_predict_on_non_finite_points_is_data_error(tmp_path, model_1d, capsys):
+    src = tmp_path / "points.csv"
+    src.write_text("x\n0.1\nnan\n")
+    assert run("predict", "--model", model_1d, "--data", src,
+               "--out", tmp_path / "l.csv") == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_train_on_non_finite_points_is_data_error(tmp_path, capsys):
+    src = tmp_path / "train.csv"
+    src.write_text("0.1,1\ninf,0\n0.2,0\n")
+    assert run("train", "--data", src, "--out", tmp_path / "m.txt") == 2
+    assert "data error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # frontier / field
 

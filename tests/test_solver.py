@@ -1,4 +1,7 @@
 """Training loop: stepping, reinitialization, convergence, restarts, traces."""
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -282,6 +285,54 @@ def test_reinitialize_preserves_predictions_3d():
     )
     d = reinitialize(u)
     assert np.array_equal(u.values >= 0, d.values >= 0)
+
+
+def ball_distance_error(dim, half_width, resolution):
+    """Largest |reinitialized - exact| over all nodes, in cells, for a ball
+    of radius 0.8 centred in [-half_width, half_width]^dim."""
+    grid = GridSpec(bounds=((-half_width, half_width),) * dim, resolution=resolution)
+    exact = 0.8 - np.sqrt(sum(m * m for m in grid.mesh()))
+    d = reinitialize(ScalarField(grid, 3.0 * exact))
+    return float(np.abs(d.values - exact).max()) / max(grid.spacing)
+
+
+def test_reinitialize_circle_within_a_quarter_cell():
+    assert ball_distance_error(2, 2.0, 65) <= 0.25
+
+
+def test_reinitialize_sphere_within_half_a_cell():
+    assert ball_distance_error(3, 1.5, 32) <= 0.5
+
+
+def test_reinitialize_1d_matches_nearest_crossing():
+    grid = GridSpec(bounds=TOY_BOUNDS, resolution=200)
+    x = grid.axes()[0]
+    u = np.sin(3.0 * x) + 0.3
+    a, b = u[:-1], u[1:]
+    edge = (a > 0) != (b > 0)
+    crossings = x[:-1][edge] + a[edge] / (a[edge] - b[edge]) * grid.spacing[0]
+    assert len(crossings) >= 6
+    nearest = np.abs(x[:, None] - crossings[None, :]).min(axis=1)
+    d = reinitialize(ScalarField(grid, u))
+    np.testing.assert_allclose(
+        d.values, np.where(u >= 0, nearest, -nearest), rtol=0, atol=1e-12
+    )
+
+
+def test_reinitialize_threads_agree_bytewise():
+    grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=65)
+    u = random_bump_field(grid, np.random.default_rng(1))
+    expected = reinitialize(u).values.tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(
+                pool.map(lambda _: reinitialize(u).values.tobytes(), range(8), timeout=60)
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [expected] * 8
 
 
 # ---------------------------------------------------------------------------
