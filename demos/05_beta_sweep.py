@@ -6,7 +6,7 @@ whole classifier.  This demo cross-validates the level-set model and the
 Naive Bayes baseline on the horseshoe database for several betas and
 prints the resulting table; the baseline cannot react to beta at all.
 
-Takes about ten seconds.  Run:  python3 demos/05_beta_sweep.py
+Takes a few seconds.  Run:  python3 demos/05_beta_sweep.py
 """
 import numpy as np
 from pathlib import Path
@@ -26,7 +26,6 @@ def main():
         betas=(0.2, 0.6, 1.0, 1.4, 1.8),
         seed=0,
         ofc=TrainConfig(resolution=64, max_iter=300, reinit_every=50),
-        workers=4,
     )
     result = run_experiment(spec)
 

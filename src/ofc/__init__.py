@@ -15,6 +15,7 @@ Typical use::
 from .classifier import (
     PredictionResult,
     TrainedClassifier,
+    densities_for,
     density_fingerprint,
     fit,
     frontier,
@@ -123,6 +124,7 @@ __all__ = [
     # classifier
     "PredictionResult",
     "TrainedClassifier",
+    "densities_for",
     "density_fingerprint",
     "fit",
     "frontier",

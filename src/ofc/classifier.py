@@ -65,22 +65,38 @@ def density_fingerprint(d: DensityPair) -> str:
     return h.hexdigest()
 
 
-def fit(
-    data: LabeledDataset,
-    cfg: TrainConfig = None,
-    measure: str = "f_measure",
-    bandwidth=None,
-):
-    """Grid from the data bounds (+10% margin), densities, energy, solve.
+def densities_for(data: LabeledDataset, cfg: TrainConfig = None, bandwidth=None) -> DensityPair:
+    """Both class densities on the grid `fit` trains on.
 
-    Returns (TrainedClassifier, EvolutionTrace).
+    The grid spans the data bounds plus a 10% margin per side, at
+    ``cfg.resolution`` cells per axis (or the per-dimension default).  The
+    pair depends on cfg only through its resolution, so one pair serves
+    every beta.
     """
     if cfg is None:
         cfg = TrainConfig()
     res = cfg.resolution if cfg.resolution is not None else default_resolution(data.dim)
     grid = GridSpec.from_points(data.points, resolution=res, margin=0.1)
-    pair = estimate_pair(data, grid, bandwidth=bandwidth)
-    eps = cfg.eps_h if cfg.eps_h is not None else 1.5 * max(grid.spacing)
+    return estimate_pair(data, grid, bandwidth=bandwidth)
+
+
+def fit(
+    data: LabeledDataset,
+    cfg: TrainConfig = None,
+    measure: str = "f_measure",
+    bandwidth=None,
+    densities: DensityPair = None,
+):
+    """Grid from the data bounds (+10% margin), densities, energy, solve.
+
+    ``densities`` reuses a pair from :func:`densities_for` on the same
+    data and resolution (``bandwidth`` is then unused) instead of
+    estimating it again.  Returns (TrainedClassifier, EvolutionTrace).
+    """
+    if cfg is None:
+        cfg = TrainConfig()
+    pair = densities if densities is not None else densities_for(data, cfg, bandwidth)
+    eps = cfg.eps_h if cfg.eps_h is not None else 1.5 * max(pair.grid.spacing)
     energy = MeasureEnergy(pair, eps=eps, kind=measure, beta=cfg.beta)
     return train(pair, energy, cfg)
 

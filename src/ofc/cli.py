@@ -17,6 +17,7 @@ same arguments and seed write byte-identical files.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 import numpy as np
@@ -204,7 +205,7 @@ def _spec_from_config(path, seed_override=None, betas_override=None) -> Experime
         ofc_measure=cfg.get("measure", "f_measure"),
         ofc_bandwidth=getf("bandwidth", None),
         oracle_steps=geti("oracle_steps", 2000),
-        workers=geti("workers", 4),
+        workers=geti("workers", 1),
     )
 
 
@@ -418,6 +419,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage problems
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    # library progress lines (e.g. the experiment summary) go to stderr
+    handler = logging.StreamHandler(sys.stderr)
+    log = logging.getLogger("ofc")
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         return args.func(args)
     except (DataError, ModelFormatError, DimensionError, OSError) as exc:
@@ -429,6 +436,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"ofc: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

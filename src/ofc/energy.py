@@ -32,7 +32,7 @@ import numpy as np
 
 from .density import DensityPair
 from .errors import VanishingPositiveMassError
-from .field import ScalarField, integrate
+from .field import ScalarField, _quadrature_weights
 from .metrics import smoothed_delta, smoothed_heaviside
 
 _MASS_FLOOR = 1e-12
@@ -45,6 +45,7 @@ class MeasureEnergy:
 
     kind "f_measure" uses beta (and an optional explicit k overriding the
     default beta**2 * p_count / n_count); kind "accuracy" ignores both.
+    The pair's density values are read once, at construction.
     """
 
     pair: DensityPair
@@ -69,46 +70,66 @@ class MeasureEnergy:
             )
         elif self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
+        # quadrature-weighted densities: each fraction is then one sum
+        w = _quadrature_weights(self.pair.grid)
+        object.__setattr__(self, "_w_pos", self.pair.f_pos.values * w)
+        object.__setattr__(self, "_w_neg", self.pair.f_neg.values * w)
 
     def _fractions(self, u: ScalarField) -> tuple[float, float, float]:
         """(A, B, C); raises once the positive region loses all f+ mass."""
         h = smoothed_heaviside(u.values, self.eps)
-        a = integrate(u.with_values(h * self.pair.f_pos.values))
-        b = integrate(u.with_values((1.0 - h) * self.pair.f_pos.values))
-        c = integrate(u.with_values(h * self.pair.f_neg.values))
+        a = float(np.sum(h * self._w_pos))
+        b = float(np.sum((1.0 - h) * self._w_pos))
+        c = float(np.sum(h * self._w_neg))
         if self.kind == "f_measure" and a < _MASS_FLOOR:
             raise VanishingPositiveMassError(
                 f"positive region holds {a:.3e} of the positive density"
             )
         return a, b, c
 
-    def evaluate(self, u: ScalarField) -> float:
-        a, b, c = self._fractions(u)
-        if self.kind == "accuracy":
-            return self.pair.p_count * b + self.pair.n_count * c
-        return (self.k * b + c) / a
+    def evaluate(self, u: ScalarField, return_fractions: bool = False):
+        """Energy at u; with ``return_fractions``, (energy, (A, B, C)).
 
-    def gradient(self, u: ScalarField) -> ScalarField:
-        """First variation of the energy at u, as a field on the same grid."""
+        The fractions can be handed to :meth:`descent_direction` at the
+        same u, which then skips recomputing them.
+        """
+        fractions = self._fractions(u)
+        a, b, c = fractions
+        if self.kind == "accuracy":
+            energy = self.pair.p_count * b + self.pair.n_count * c
+        else:
+            energy = (self.k * b + c) / a
+        return (energy, fractions) if return_fractions else energy
+
+    def gradient(self, u: ScalarField, fractions: tuple = None) -> ScalarField:
+        """First variation of the energy at u, as a field on the same grid.
+
+        ``fractions`` are u's (A, B, C) when already known.
+        """
         delta = smoothed_delta(u.values, self.eps)
         fp, fn = self.pair.f_pos.values, self.pair.f_neg.values
         if self.kind == "accuracy":
             return u.with_values(
                 delta * (self.pair.n_count * fn - self.pair.p_count * fp)
             )
-        a, b, c = self._fractions(u)
+        a, b, c = fractions if fractions is not None else self._fractions(u)
         e = (self.k * b + c) / a
         return u.with_values(delta * (fn - (self.k + e) * fp) / a)
 
-    def descent_direction(self, u: ScalarField, kind: str = "derivative") -> ScalarField:
-        """Field to subtract (times dt) from u; "derivative" or "G"."""
+    def descent_direction(
+        self, u: ScalarField, kind: str = "derivative", fractions: tuple = None
+    ) -> ScalarField:
+        """Field to subtract (times dt) from u; "derivative" or "G".
+
+        ``fractions`` are u's (A, B, C) when already known.
+        """
         if kind == "derivative":
-            return self.gradient(u)
+            return self.gradient(u, fractions)
         if kind != "G":
             raise ValueError(f"unknown descent kind {kind!r}")
         if self.kind != "f_measure":
             raise ValueError("descent kind 'G' only applies to the f_measure energy")
-        a, b, c = self._fractions(u)
+        a, b, c = fractions if fractions is not None else self._fractions(u)
         delta = smoothed_delta(u.values, self.eps)
         fp, fn = self.pair.f_pos.values, self.pair.f_neg.values
         b2 = self.beta**2

@@ -14,6 +14,7 @@ from itertools import product
 import numpy as np
 
 from .errors import (
+    DimensionError,
     GridMismatchError,
     InvalidShapeError,
     NonFiniteError,
@@ -59,12 +60,13 @@ class GridSpec:
     def dim(self) -> int:
         return len(self.bounds)
 
-    @property
+    # cached per instance: the training loop asks for both on every step
+    @functools.cached_property
     def shape(self) -> tuple:
         """Node count per axis."""
         return tuple(r + 1 for r in self.resolution)
 
-    @property
+    @functools.cached_property
     def spacing(self) -> tuple:
         return tuple((hi - lo) / r for (lo, hi), r in zip(self.bounds, self.resolution))
 
@@ -148,7 +150,7 @@ def interpolate(f: ScalarField, points, clamp: bool = True):
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[1] != grid.dim:
-        raise ValueError(f"points have {pts.shape[1]} coords, grid has {grid.dim}")
+        raise DimensionError(f"points have {pts.shape[1]} coords, grid has {grid.dim}")
     if not np.isfinite(pts).all():
         raise NonFiniteError("query points must be finite")
     lo, hi = grid.mins, grid.maxs
@@ -172,20 +174,30 @@ def interpolate(f: ScalarField, points, clamp: bool = True):
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    """Central-difference Laplacian with mirrored ghost nodes (zero normal flux)."""
+    """Central-difference Laplacian with mirrored ghost nodes (zero normal flux).
+
+    Along each axis the second difference is the difference of the first
+    differences ``d``; a mirrored ghost node turns the end rows into
+    ``2 * d[0]`` and ``-2 * d[-1]``.
+    """
     grid = f.grid
     if min(grid.shape) < 3:
         raise ValueError("laplacian needs at least 3 nodes per axis")
+    v = f.values
     out = np.zeros(grid.shape)
     for ax, h in enumerate(grid.spacing):
-        pad = [(1, 1) if i == ax else (0, 0) for i in range(grid.dim)]
-        p = np.pad(f.values, pad, mode="reflect")
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[ax] = slice(0, -2)
-        hi[ax] = slice(2, None)
-        out += (p[tuple(lo)] - 2.0 * f.values + p[tuple(hi)]) / h**2
+        head, tail = _along(ax, slice(None, -1)), _along(ax, slice(1, None))
+        d = v[tail] - v[head]
+        d /= h * h
+        out[_along(ax, slice(1, -1))] += d[tail] - d[head]
+        out[_along(ax, 0)] += 2.0 * d[_along(ax, 0)]
+        out[_along(ax, -1)] -= 2.0 * d[_along(ax, -1)]
     return ScalarField(grid, out)
+
+
+def _along(ax: int, index) -> tuple:
+    """Index tuple applying ``index`` to axis ``ax`` and keeping every other axis whole."""
+    return (slice(None),) * ax + (index,)
 
 
 def gradient_magnitude(f: ScalarField) -> ScalarField:
@@ -384,8 +396,6 @@ def write_pgm(f: ScalarField, path):
     axis 0 and rows run top-to-bottom along decreasing axis 1, so the image
     is oriented like a conventional x/y plot.
     """
-    from .errors import DimensionError
-
     if f.grid.dim != 2:
         raise DimensionError("graymap export is defined for 2-D fields only")
     vals = f.values

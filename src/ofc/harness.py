@@ -6,18 +6,25 @@ ground-truth optimum on one-dimensional problems.  `run_experiment`
 repeats stratified k-fold cross-validation for every requested classifier
 and beta, pools the confusion counts of each test fold, turns them into
 fold metrics, and reports mean +- std across repetitions.
+
+The unit of work is one (repetition, fold) split, run serially.  Work
+that does not depend on beta runs once per split: the level-set class
+densities, which every beta then trains on, and the naive Bayes fit and
+predictions.  Outcomes come out in repetition, fold, classifier, beta
+order, so results do not depend on anything but the spec.  The cell
+count, wall time and number of failed cells are logged at INFO level on
+the ``ofc.harness`` logger.
 """
 from __future__ import annotations
 
-import sys
+import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
 
-from .classifier import fit as ofc_fit, predict as ofc_predict
+from .classifier import densities_for, fit as ofc_fit, predict as ofc_predict
 from .data import (
     TOY_NEG_COUNT,
     TOY_NEG_MEAN,
@@ -37,6 +44,8 @@ from .metrics import (
     metrics_from_counts,
 )
 from .solver import TrainConfig
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +223,13 @@ _KNOWN_CLASSIFIERS = ("ofc", "nb", "oracle")
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One cross-validated comparison: dataset x classifiers x betas."""
+    """One cross-validated comparison: dataset x classifiers x betas.
+
+    ``workers`` is still accepted and must be at least 1, so existing
+    specs and config files keep working, but it no longer changes how the
+    experiment runs: every (repetition, fold) task runs in the calling
+    thread.
+    """
 
     data: LabeledDataset
     classifiers: tuple = ("ofc", "nb")
@@ -226,7 +241,7 @@ class ExperimentSpec:
     ofc_measure: str = "f_measure"
     ofc_bandwidth: float = None  # type: ignore[assignment]
     oracle_steps: int = 2000
-    workers: int = 4
+    workers: int = 1
 
     def __post_init__(self):
         for c in self.classifiers:
@@ -391,57 +406,79 @@ class ExperimentResult:
         return "\n".join(lines) + "\n"
 
 
-def _run_cell(spec: ExperimentSpec, clf, beta, train_data, test_data):
+def _attempt(work):
+    """(result, None), or (None, failure message) when ``work`` raises."""
+    try:
+        return work(), None
+    except (OfcError, ValueError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _run_cell(spec: ExperimentSpec, clf, beta, train_data, test_data, shared):
+    """Confusion counts of one classifier at one beta.
+
+    ``shared`` is what the classifier computed once for every beta: the
+    class densities for "ofc", the test predictions for "nb".
+    """
     if clf == "ofc":
         cfg = replace(spec.ofc, beta=beta)
-        model, _ = ofc_fit(
-            train_data, cfg, measure=spec.ofc_measure, bandwidth=spec.ofc_bandwidth
-        )
+        model, _ = ofc_fit(train_data, cfg, measure=spec.ofc_measure, densities=shared)
         predicted = ofc_predict(model, test_data.points)
     elif clf == "nb":
-        model = naive_bayes_fit(train_data)
-        predicted = naive_bayes_predict(model, test_data.points)
+        predicted = shared
     else:  # oracle
         tau, _ = threshold_oracle(train_data, beta=beta, steps=spec.oracle_steps)
         predicted = test_data.points[:, 0] >= tau
     return confusion_from_predictions(test_data.labels, predicted)
 
 
+def _run_fold(spec: ExperimentSpec, rep: int, fold_n: int, train_data, test_data) -> list:
+    """A FoldOutcome or CellFailure per classifier x beta of one split.
+
+    The work that does not depend on beta runs once, and its failure is
+    reported in every beta cell of that classifier.
+    """
+    shared = {}  # classifier -> (result, failure message)
+    if "ofc" in spec.classifiers:
+        shared["ofc"] = _attempt(
+            lambda: densities_for(train_data, spec.ofc, spec.ofc_bandwidth)
+        )
+    if "nb" in spec.classifiers:
+        shared["nb"] = _attempt(
+            lambda: naive_bayes_predict(naive_bayes_fit(train_data), test_data.points)
+        )
+    produced = []
+    for clf in spec.classifiers:
+        common, common_error = shared.get(clf, (None, None))
+        for beta in spec.betas:
+
+            def cell():
+                counts = _run_cell(spec, clf, beta, train_data, test_data, common)
+                report = metrics_from_counts(counts, beta=beta)
+                return FoldOutcome(clf, beta, rep, fold_n, counts, report)
+
+            outcome, error = _attempt(cell) if common_error is None else (None, common_error)
+            produced.append(outcome or CellFailure(clf, beta, rep, fold_n, error))
+    return produced
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Cross-validate every classifier; never abort on a single cell."""
+    """Cross-validate every classifier; never abort on a single cell.
+
+    Cells come out in repetition, fold, classifier, beta order.
+    """
     started = time.monotonic()
-    cells = []
+    produced = []
     for rep in range(spec.repetitions):
         folds = kfold(spec.data, spec.folds, seed=spec.seed + rep)
         for fold_n, (train_idx, test_idx) in enumerate(folds):
-            train_data = spec.data.subset(train_idx)
-            test_data = spec.data.subset(test_idx)
-            for clf in spec.classifiers:
-                for beta in spec.betas:
-                    cells.append((clf, beta, rep, fold_n, train_data, test_data))
-
-    def job(cell):
-        clf, beta, rep, fold_n, train_data, test_data = cell
-        try:
-            counts = _run_cell(spec, clf, beta, train_data, test_data)
-            return FoldOutcome(
-                clf, beta, rep, fold_n, counts,
-                metrics_from_counts(counts, beta=beta),
+            produced += _run_fold(
+                spec, rep, fold_n, spec.data.subset(train_idx), spec.data.subset(test_idx)
             )
-        except (OfcError, ValueError) as exc:
-            return CellFailure(clf, beta, rep, fold_n, f"{type(exc).__name__}: {exc}")
-
-    if spec.workers == 1:
-        produced = [job(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            produced = list(pool.map(job, cells))  # order follows cells
-
     outcomes = [p for p in produced if isinstance(p, FoldOutcome)]
     failures = [p for p in produced if isinstance(p, CellFailure)]
-    print(
-        f"experiment: {len(cells)} cells in {time.monotonic() - started:.1f}s "
-        f"({len(failures)} failed)",
-        file=sys.stderr,
+    logger.info(
+        "experiment: %d cells in %.1fs (%d failed)",
+        len(produced), time.monotonic() - started, len(failures),
     )
     return ExperimentResult(spec=spec, outcomes=outcomes, failures=failures)

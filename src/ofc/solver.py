@@ -140,15 +140,20 @@ def step(
     d: DensityPair,
     cfg: TrainConfig,
     dt: float = None,
+    fractions: tuple = None,
 ) -> ScalarField:
-    """One explicit update; raises StepRejectedError when the guard trips."""
+    """One explicit update; raises StepRejectedError when the guard trips.
+
+    ``fractions`` are u's (A, B, C) when already known, e.g. from
+    ``e.evaluate(u, return_fractions=True)``.
+    """
     if u.grid != d.grid:
         raise GridMismatchError("field and densities live on different grids")
     if dt is None:
         dt = cfg.dt
     if dt is None:
         raise ValueError("dt is unresolved; pass it explicitly or set cfg.dt")
-    update = e.descent_direction(u, cfg.descent).values
+    update = e.descent_direction(u, cfg.descent, fractions).values
     lam = resolved_lambda(cfg, u.grid)
     if lam != 0.0:
         update = update - lam * laplacian(u).values
@@ -292,13 +297,14 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
     status = "max-iter"
     consecutive = 0
     it = 0
+    fractions = None  # (A, B, C) of u once its evaluate has run
     while it < cfg.max_iter:
         it += 1
         try:
             halvings = 0
             while True:
                 try:
-                    u_new = step(u, e, d, cfg, dt)
+                    u_new = step(u, e, d, cfg, dt, fractions)
                     break
                 except StepRejectedError:
                     halvings += 1
@@ -308,12 +314,13 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
             max_update = float(np.abs(u_new.values - u.values).max())
             did_reinit = it % cfg.reinit_every == 0
             u = reinitialize(u_new) if did_reinit else u_new
-            energy_val = e.evaluate(u)
+            energy_val, fractions = e.evaluate(u, return_fractions=True)
         except VanishingPositiveMassError:
             if restarted:
                 raise
             restarted = True
             u, dt = fresh_start(SphereLattice())
+            fractions = None
             consecutive = 0
             it -= 1
             continue

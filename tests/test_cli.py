@@ -168,6 +168,15 @@ def test_predict_on_non_finite_points_is_data_error(tmp_path, model_1d, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_predict_with_wrong_width_is_data_error(tmp_path, model_2d, capsys):
+    src = tmp_path / "points.csv"
+    src.write_text("0.1,0.2,0.3\n1.0,1.1,1.2\n")
+    assert run("predict", "--model", model_2d, "--data", src,
+               "--out", tmp_path / "l.csv") == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "3 coords, grid has 2" in err
+
+
 def test_train_on_non_finite_points_is_data_error(tmp_path, capsys):
     src = tmp_path / "train.csv"
     src.write_text("0.1,1\ninf,0\n0.2,0\n")
@@ -231,10 +240,12 @@ def eval_config(path, csv_path, **overrides):
     return path
 
 
-def test_eval_writes_summary_and_raw(tmp_path, separable_csv):
+def test_eval_writes_summary_and_raw(tmp_path, separable_csv, capsys):
     cfg = eval_config(tmp_path / "exp.cfg", separable_csv)
     out, raw = tmp_path / "summary.csv", tmp_path / "raw.csv"
     assert run("eval", "--config", cfg, "--out", out, "--raw", raw) == 0
+    err = capsys.readouterr().err
+    assert "experiment: 16 cells in " in err and "(0 failed)" in err
     data_rows = [
         l for l in out.read_text().splitlines()
         if l and not l.startswith(("#", "classifier"))

@@ -188,6 +188,23 @@ def test_surrogate_direction_is_scaled_gradient():
     )
 
 
+@pytest.mark.parametrize("kind, descent", [("f_measure", "derivative"), ("f_measure", "G"),
+                                            ("accuracy", "derivative")])
+def test_fractions_from_evaluate_reproduce_descent(kind, descent):
+    # train hands each field's (A, B, C) from evaluate to the next step
+    pair = toy_pair(512)
+    x = pair.grid.axes()[0]
+    u = ScalarField(pair.grid, x - 3.1 + 0.05 * np.cos(3.0 * x))
+    energy = MeasureEnergy(pair, eps=0.05, kind=kind)
+    value, fractions = energy.evaluate(u, return_fractions=True)
+    assert value == energy.evaluate(u)
+    assert len(fractions) == 3
+    np.testing.assert_array_equal(
+        energy.descent_direction(u, descent, fractions).values,
+        energy.descent_direction(u, descent).values,
+    )
+
+
 @pytest.mark.parametrize("kind", ["f_measure", "accuracy"])
 def test_small_step_against_gradient_lowers_energy(kind):
     pair = toy_pair(512)

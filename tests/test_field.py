@@ -177,6 +177,27 @@ class TestStencils:
         f = ScalarField(g, np.full(9, 3.0))
         assert np.allclose(laplacian(f).values, 0.0)
 
+    @pytest.mark.parametrize(
+        "bounds, res",
+        [
+            (((0.0, 1.0),), (9,)),
+            (((0.0, 1.0), (-2.0, 3.0)), (7, 12)),
+            (((0.0, 0.5), (-1.0, 2.0), (0.0, 7.0)), (5, 6, 9)),
+        ],
+    )
+    def test_laplacian_matches_reflect_padded_stencil(self, bounds, res):
+        g = GridSpec(bounds, res)
+        v = np.random.default_rng(len(res)).normal(size=g.shape)
+        ref = np.zeros(g.shape)
+        for ax, h in enumerate(g.spacing):
+            pad = [(1, 1) if i == ax else (0, 0) for i in range(g.dim)]
+            p = np.pad(v, pad, mode="reflect")
+            lo = np.take(p, np.arange(0, g.shape[ax]), axis=ax)
+            hi = np.take(p, np.arange(2, g.shape[ax] + 2), axis=ax)
+            ref += (lo - 2.0 * v + hi) / h**2
+        lap = laplacian(ScalarField(g, v)).values
+        np.testing.assert_allclose(lap, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
     def test_gradient_magnitude_affine(self):
         g = GridSpec(((0.0, 1.0), (0.0, 1.0)), (8, 8))
         xx, yy = g.mesh()

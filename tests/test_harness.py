@@ -1,8 +1,13 @@
 """Baselines, the threshold sweep oracle, and the experiment driver."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import ofc.classifier
+import ofc.density
+import ofc.harness
 from ofc.data import LabeledDataset, gen_toy1d
 from ofc.errors import DegenerateDataError, DimensionError
 from ofc.harness import (
@@ -252,20 +257,19 @@ def test_experiment_summary_recomputable_from_raw_csv():
 def test_experiment_is_deterministic_across_runs_and_workers():
     spec = ExperimentSpec(
         data=small_separable(40, seed=2),
-        classifiers=("nb", "oracle"),
+        classifiers=("ofc", "nb", "oracle"),
         repetitions=2,
         folds=2,
+        betas=(0.5, 1.0),
         seed=11,
+        ofc=TrainConfig(resolution=16, max_iter=20),
         workers=4,
     )
     first = run_experiment(spec)
     again = run_experiment(spec)
-    serial = run_experiment(
-        ExperimentSpec(
-            data=spec.data, classifiers=spec.classifiers, repetitions=2,
-            folds=2, seed=11, workers=1,
-        )
-    )
+    serial = run_experiment(replace(spec, workers=1))
+    assert not first.failures
+    assert {o.classifier for o in first.outcomes} == {"ofc", "nb", "oracle"}
     assert first.raw_csv() == again.raw_csv() == serial.raw_csv()
     assert first.summary_csv() == again.summary_csv() == serial.summary_csv()
 
@@ -302,3 +306,83 @@ def test_experiment_beta_sweep_csv():
         b, val = line.split(",")
         assert float(b) == beta
         assert 0.0 <= float(val) <= 100.0
+
+
+def counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that every call is counted."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_experiment_estimates_densities_and_naive_bayes_once_per_fold(monkeypatch):
+    kde = counting(monkeypatch, ofc.density, "density_on_grid")
+    nb = counting(monkeypatch, ofc.harness, "naive_bayes_fit")
+    spec = ExperimentSpec(
+        data=small_separable(60, seed=4),
+        classifiers=("ofc", "nb"),
+        repetitions=2,
+        folds=3,
+        betas=(0.5, 1.0, 2.0),
+        ofc=TrainConfig(resolution=16, max_iter=10),
+        seed=2,
+    )
+    result = run_experiment(spec)
+    assert not result.failures
+    assert len(result.outcomes) == 2 * 3 * 2 * 3
+    assert len(kde) == 2 * 6  # two classes per (repetition, fold)
+    assert len(nb) == 6
+    order = [(o.repetition, o.fold, o.classifier, o.beta) for o in result.outcomes]
+    assert order == [
+        (rep, fold, clf, beta)
+        for rep in range(2) for fold in range(3)
+        for clf in ("ofc", "nb") for beta in (0.5, 1.0, 2.0)
+    ]
+
+
+def test_experiment_density_failure_fails_every_beta_of_the_fold(monkeypatch):
+    # constant positives: the level-set densities cannot be estimated
+    # (zero variance) while naive Bayes floors the variance and the
+    # threshold sweep does not care
+    rng = np.random.default_rng(1)
+    pts = np.vstack([np.full((12, 1), 4.0), rng.normal(0.0, 0.3, (18, 1))])
+    data = LabeledDataset(pts, np.arange(30) < 12)
+    pairs = counting(monkeypatch, ofc.classifier, "estimate_pair")
+    spec = ExperimentSpec(
+        data=data,
+        classifiers=("ofc", "nb", "oracle"),
+        repetitions=1,
+        folds=2,
+        betas=(0.5, 1.0, 2.0),
+        ofc=TrainConfig(resolution=16, max_iter=10),
+        seed=0,
+    )
+    result = run_experiment(spec)
+    assert len(pairs) == 2  # one attempt per fold, not one per beta
+    assert [(f.classifier, f.beta, f.fold) for f in result.failures] == [
+        ("ofc", beta, fold) for fold in range(2) for beta in (0.5, 1.0, 2.0)
+    ]
+    messages = {f.message for f in result.failures}
+    assert len(messages) == 1
+    (message,) = messages
+    assert message.startswith("DegenerateDataError: positive class:")
+    assert [(o.classifier, o.fold) for o in result.outcomes] == [
+        (clf, fold) for fold in range(2) for clf in ("nb", "oracle") for _ in range(3)
+    ]
+
+
+def test_fit_on_shared_densities_matches_fit():
+    from ofc.classifier import densities_for, fit
+
+    data = small_separable(60, seed=5)
+    cfg = TrainConfig(resolution=32, max_iter=40, reinit_every=10, beta=2.0)
+    alone, _ = fit(data, cfg)
+    shared, _ = fit(data, cfg, densities=densities_for(data, cfg))
+    assert shared.u.values.tobytes() == alone.u.values.tobytes()
+    assert shared.densities_hash == alone.densities_hash

@@ -516,6 +516,25 @@ def test_train_reports_max_iter(toy):
     assert not trace.restarted
 
 
+def test_train_integrates_each_field_once(toy, monkeypatch):
+    # evaluate's (A, B, C) of a field are reused by the next step
+    pair, eps = toy
+    energy = MeasureEnergy(pair, eps=eps)
+    dt = auto_time_step(init_shape(pair.grid, RIGHT_BOX), energy, TrainConfig()) / 10
+    calls = []
+    original = MeasureEnergy._fractions
+
+    def counted(self, u):
+        calls.append(u)
+        return original(self, u)
+
+    monkeypatch.setattr(MeasureEnergy, "_fractions", counted)
+    cfg = TrainConfig(init=RIGHT_BOX, dt=dt, reinit_every=4, max_iter=10)
+    _, trace = train(pair, energy, cfg)
+    assert len(trace.records) == 10
+    assert len(calls) == 1 + 10  # the starting field, then one per iterate
+
+
 def test_train_rejects_tiny_grids():
     grid = GridSpec(bounds=TOY_BOUNDS, resolution=3)
     f = ScalarField(grid, np.ones(grid.shape))
