@@ -11,6 +11,7 @@ frontier    export a model's decision frontier as CSV
 field       export a model's decision field as an ASCII PGM heatmap
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+A flag or config key left out keeps the library's own default.
 Every command that consumes randomness takes ``--seed``; two runs with the
 same arguments and seed write byte-identical files.
 """
@@ -23,7 +24,15 @@ import sys
 import numpy as np
 
 from .classifier import fit, frontier_csv, load, predict, save
-from .data import LabeledDataset, gen_db, gen_toy1d, load_csv, load_skin, write_csv
+from .data import (
+    LabeledDataset,
+    gen_db,
+    gen_toy1d,
+    load_csv,
+    load_points,
+    load_skin,
+    write_csv,
+)
 from .errors import (
     DataError,
     DegenerateModelError,
@@ -32,6 +41,7 @@ from .errors import (
     NumericalError,
     ParseError,
 )
+from .field import write_pgm
 from .harness import ExperimentSpec, run_experiment
 from .solver import TrainConfig
 
@@ -52,65 +62,30 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _named_dataset(name: str, seed: int) -> LabeledDataset:
-    if name == "toy":
-        return gen_toy1d(seed)
-    return gen_db(int(name[2:]), seed)
+def _given(args, names) -> dict:
+    """The flags among ``names`` that the user set; the rest keep library defaults."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
 
-def _load_dataset(source: str, seed: int, label_column: int,
-                  positive_value: str, subsample: int = None) -> LabeledDataset:
-    """A dataset name (toy, db1..db4), ``skin:<path>``, or a CSV path."""
-    if source in _DATASET_NAMES:
-        data = _named_dataset(source, seed)
+def _load_dataset(source: str, seed: int, subsample: int = None,
+                  **csv_options) -> LabeledDataset:
+    """A dataset name (toy, db1..db4), ``skin:<path>``, or a CSV path.
+
+    ``csv_options`` go to :func:`load_csv`; ``subsample`` keeps the first rows.
+    """
+    if subsample is not None and subsample < 1:
+        raise ValueError(f"subsample must be at least 1, got {subsample}")
+    if source == "toy":
+        data = gen_toy1d(seed)
+    elif source in _DATASET_NAMES:
+        data = gen_db(int(source[2:]), seed)
     elif source.startswith("skin:"):
         data = load_skin(source[len("skin:"):])
     else:
-        data = load_csv(source, label_column=label_column,
-                        positive_value=positive_value)
+        data = load_csv(source, **csv_options)
     if subsample is not None and subsample < len(data.labels):
         data = data.subset(np.arange(subsample))
     return data
-
-
-def _read_points(path, label_column=None) -> np.ndarray:
-    """Numeric CSV rows as points; ``label_column`` (if any) is dropped."""
-    if label_column is not None:
-        return load_csv(path, label_column=label_column).points
-    import csv as _csv
-
-    rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(_csv.reader(fh), start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                if not rows and lineno == 1:
-                    continue  # header row
-                raise ParseError(f"{path}:{lineno}: non-numeric value") from None
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ParseError(f"{path}: rows have inconsistent column counts")
-    return np.array(rows)
-
-
-def _train_config(args, beta=None) -> TrainConfig:
-    return TrainConfig(
-        beta=args.beta if beta is None else beta,
-        dt=args.dt,
-        lam=args.lam,
-        eps_h=args.eps_h,
-        tol=args.tol,
-        reinit_every=args.reinit_every,
-        max_iter=args.max_iter,
-        resolution=args.resolution,
-        seed=args.seed,
-        descent=args.descent,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -135,77 +110,65 @@ def _parse_config_file(path) -> dict:
     return out
 
 
-def _conv(path, key, value, kind):
-    try:
-        return kind(value)
-    except ValueError:
-        raise ParseError(
-            f"{path}: key {key!r} needs a {kind.__name__}, got {value!r}"
-        ) from None
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
 
 
-_CONFIG_KEYS = frozenset(
-    {
-        "data", "subsample", "label_column", "positive_value", "data_seed",
-        "classifiers", "repetitions", "folds", "betas", "seed", "workers",
-        "oracle_steps", "measure", "bandwidth", "resolution", "max_iter",
-        "reinit_every", "dt", "lam", "eps_h", "tol", "descent",
-    }
-)
+def _names(text: str) -> tuple:
+    return tuple(v.strip() for v in text.split(","))
+
+
+# Config keys and their parsers, by where the value goes.  A key missing
+# from the file is left out, so the library's own default applies.
+_DATA_KEYS = {
+    "data": str, "subsample": int, "label_column": int,
+    "positive_value": str, "data_seed": int,
+}
+_TRAIN_KEYS = {
+    "dt": float, "lam": float, "eps_h": float, "tol": float,
+    "reinit_every": int, "max_iter": int, "resolution": int, "descent": str,
+}
+_SPEC_KEYS = {
+    "classifiers": _names, "repetitions": int, "folds": int, "betas": _floats,
+    "seed": int, "workers": int, "oracle_steps": int, "measure": str,
+    "bandwidth": float,
+}
+_SPEC_FIELDS = {"measure": "ofc_measure", "bandwidth": "ofc_bandwidth"}
+
+
+def _parse_keys(path, cfg: dict, table: dict) -> dict:
+    out = {}
+    for key, parse in table.items():
+        if key in cfg:
+            try:
+                out[key] = parse(cfg[key])
+            except ValueError as exc:
+                raise ParseError(f"{path}: key {key!r}: {exc}") from None
+    return out
 
 
 def _spec_from_config(path, seed_override=None, betas_override=None) -> ExperimentSpec:
     cfg = _parse_config_file(path)
-    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    unknown = sorted(set(cfg).difference(_DATA_KEYS, _TRAIN_KEYS, _SPEC_KEYS))
     if unknown:
         raise ParseError(f"{path}: unknown keys {', '.join(unknown)}")
     if "data" not in cfg:
         raise ParseError(f"{path}: missing required key 'data'")
-
-    def geti(key, default):
-        return _conv(path, key, cfg[key], int) if key in cfg else default
-
-    def getf(key, default):
-        return _conv(path, key, cfg[key], float) if key in cfg else default
-
-    seed = seed_override if seed_override is not None else geti("seed", 0)
-    data = _load_dataset(
-        cfg["data"],
-        seed=geti("data_seed", seed),
-        label_column=geti("label_column", -1),
-        positive_value=cfg.get("positive_value", "1"),
-        subsample=geti("subsample", None) if "subsample" in cfg else None,
+    data_kw, train_kw, spec_kw = (
+        _parse_keys(path, cfg, t) for t in (_DATA_KEYS, _TRAIN_KEYS, _SPEC_KEYS)
     )
+    if seed_override is not None:
+        spec_kw["seed"] = seed_override
     if betas_override is not None:
-        betas = betas_override
-    else:
-        betas = tuple(
-            _conv(path, "betas", b.strip(), float)
-            for b in cfg.get("betas", "1.0").split(",")
-        )
-    train_cfg = TrainConfig(
-        dt=getf("dt", None),
-        lam=getf("lam", None),
-        eps_h=getf("eps_h", None),
-        tol=getf("tol", 1e-5),
-        reinit_every=geti("reinit_every", 50),
-        max_iter=geti("max_iter", 2000),
-        resolution=geti("resolution", None),
-        seed=seed,
-        descent=cfg.get("descent", "derivative"),
+        spec_kw["betas"] = betas_override
+    seed = spec_kw.get("seed", ExperimentSpec.seed)
+    data = _load_dataset(
+        data_kw.pop("data"), seed=data_kw.pop("data_seed", seed), **data_kw
     )
     return ExperimentSpec(
         data=data,
-        classifiers=tuple(c.strip() for c in cfg.get("classifiers", "ofc,nb").split(",")),
-        repetitions=geti("repetitions", 10),
-        folds=geti("folds", 10),
-        betas=betas,
-        seed=seed,
-        ofc=train_cfg,
-        ofc_measure=cfg.get("measure", "f_measure"),
-        ofc_bandwidth=getf("bandwidth", None),
-        oracle_steps=geti("oracle_steps", 2000),
-        workers=geti("workers", 1),
+        ofc=TrainConfig(seed=seed, **train_kw),
+        **{_SPEC_FIELDS.get(k, k): v for k, v in spec_kw.items()},
     )
 
 
@@ -214,9 +177,7 @@ def _spec_from_config(path, seed_override=None, betas_override=None) -> Experime
 
 
 def _cmd_gen(args) -> int:
-    data = _named_dataset(args.db, args.seed)
-    if args.subsample is not None and args.subsample < len(data.labels):
-        data = data.subset(np.arange(args.subsample))
+    data = _load_dataset(args.db, args.seed, subsample=args.subsample)
     write_csv(data, args.out)
     print(
         f"wrote {len(data.labels)} rows ({data.n_pos} positive, "
@@ -226,27 +187,39 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# train flags, by the call they go to
+_CSV_FLAGS = ("label_column", "positive_value")
+_FIT_FLAGS = ("measure", "bandwidth")
+_TRAIN_FLAGS = (
+    "beta", "dt", "lam", "eps_h", "tol", "reinit_every", "max_iter",
+    "resolution", "seed", "descent",
+)
+
+
 def _cmd_train(args) -> int:
-    data = load_csv(args.data, label_column=args.label_column,
-                    positive_value=args.positive_value)
+    data = load_csv(args.data, **_given(args, _CSV_FLAGS))
     model, trace = fit(
-        data, _train_config(args), measure=args.measure, bandwidth=args.bandwidth
+        data, TrainConfig(**_given(args, _TRAIN_FLAGS)), **_given(args, _FIT_FLAGS)
     )
     save(model, args.out)
     if args.trace is not None:
         _write_text(args.trace, trace.to_csv())
+    status = f"{trace.status}, degenerate" if model.degenerate else trace.status
     print(
-        f"trained on {len(data.labels)} rows: {trace.status} after "
+        f"trained on {len(data.labels)} rows: {status} after "
         f"{len(trace.records)} iterations, energy {trace.records[-1].energy:.6g}",
         file=sys.stderr,
     )
+    if model.degenerate:
+        raise DegenerateModelError(
+            f"the field in {args.out} never changes sign: the model answers one class"
+        )
     return EXIT_OK
 
 
 def _cmd_predict(args) -> int:
     model = load(args.model)
-    points = _read_points(args.data, label_column=args.label_column)
-    labels = predict(model, points)
+    labels = predict(model, load_points(args.data, drop_column=args.label_column))
     _write_text(args.out, "label\n" + "".join(f"{int(v)}\n" for v in labels))
     print(
         f"labeled {len(labels)} rows ({int(labels.sum())} positive) to {args.out}",
@@ -267,9 +240,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep_beta(args) -> int:
-    betas = tuple(float(b) for b in args.betas.split(",")) if args.betas else None
-    if betas is not None and any(b <= 0 for b in betas):
-        raise ValueError("--betas values must be positive")
+    betas = _floats(args.betas) if args.betas else None
     spec = _spec_from_config(args.config, seed_override=args.seed,
                              betas_override=betas)
     result = run_experiment(spec)
@@ -286,34 +257,7 @@ def _cmd_frontier(args) -> int:
 
 
 def _cmd_field(args) -> int:
-    model = load(args.model)
-    u = model.u
-    if u.grid.dim > 2:
-        raise DimensionError(
-            f"heatmap export supports 1-D and 2-D fields, got {u.grid.dim}-D"
-        )
-    values = u.values if u.grid.dim == 2 else u.values[:, None]
-    width, height = values.shape
-    lo, hi = float(values.min()), float(values.max())
-    span = hi - lo
-    if span > 0:
-        pixels = np.rint((values - lo) / span * 255).astype(int)
-        zero_gray = int(np.clip(round((0.0 - lo) / span * 255), 0, 255))
-    else:
-        pixels = np.full(values.shape, 128, dtype=int)
-        zero_gray = 128
-    bounds = " x ".join(f"[{a!r}, {b!r}]" for a, b in u.grid.bounds)
-    lines = [
-        "P2",
-        f"# decision field over {bounds}",
-        f"# u in [{lo!r}, {hi!r}]; gray 0 = min, 255 = max; zero level at gray {zero_gray}",
-        f"{width} {height}",
-        "255",
-    ]
-    # image rows run top to bottom: last axis descending, first axis = columns
-    for row in range(height):
-        lines.append(" ".join(str(v) for v in pixels[:, height - 1 - row]))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    write_pgm(load(args.model).u, args.out)
     return EXIT_OK
 
 
@@ -322,32 +266,31 @@ def _cmd_field(args) -> int:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """Training flags; each one left out keeps the library's default."""
     p.add_argument("--measure", choices=("f_measure", "accuracy"),
-                   default="f_measure", help="objective to minimize")
-    p.add_argument("--beta", type=float, default=1.0, help="F_beta weight")
-    p.add_argument("--resolution", type=int, default=None,
+                   help="objective to minimize")
+    p.add_argument("--beta", type=float, help="F_beta weight")
+    p.add_argument("--resolution", type=int,
                    help="grid cells per axis (default: per-dimension choice)")
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--reinit-every", type=int, default=50,
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--reinit-every", type=int,
                    help="redistance the field every this many iterations")
-    p.add_argument("--dt", type=float, default=None,
+    p.add_argument("--dt", type=float,
                    help="time step (default: auto from the initial descent)")
-    p.add_argument("--lam", type=float, default=None,
+    p.add_argument("--lam", type=float,
                    help="smoothing weight (default: 0.1 * max spacing^2)")
-    p.add_argument("--eps-h", type=float, default=None,
+    p.add_argument("--eps-h", type=float,
                    help="step smoothing width (default: 1.5 * max spacing)")
-    p.add_argument("--tol", type=float, default=1e-5,
+    p.add_argument("--tol", type=float,
                    help="stop when the max nodal update falls below this")
-    p.add_argument("--descent", choices=("derivative", "G"), default="derivative",
+    p.add_argument("--descent", choices=("derivative", "G"),
                    help="descent direction: energy derivative or the G surrogate")
-    p.add_argument("--bandwidth", type=float, default=None,
+    p.add_argument("--bandwidth", type=float,
                    help="kernel bandwidth override for both class densities")
-
-
-def _csv_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--label-column", type=int, default=-1,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--label-column", type=int,
                    help="index of the label column (default: last)")
-    p.add_argument("--positive-value", default="1",
+    p.add_argument("--positive-value",
                    help="label string marking the positive class")
 
 
@@ -370,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="labeled CSV file")
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--trace", default=None, help="write per-iteration CSV here")
-    p.add_argument("--seed", type=int, default=0)
-    _csv_input_flags(p)
     _add_train_flags(p)
     p.set_defaults(func=_cmd_train)
 
@@ -427,7 +368,8 @@ def main(argv=None) -> int:
     log.setLevel(logging.INFO)
     try:
         return args.func(args)
-    except (DataError, ModelFormatError, DimensionError, OSError) as exc:
+    except (DataError, ModelFormatError, DimensionError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"ofc: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, DegenerateModelError) as exc:

@@ -149,6 +149,48 @@ def gen_db(which: int, seed: int = 0) -> LabeledDataset:
     return _shuffled(points, labels, rng)
 
 
+def _read_table(path, drop_column=None):
+    """Numeric CSV rows as an ``(n, d)`` array, plus the cells of ``drop_column``.
+
+    Blank rows are skipped and every row must be as wide as the first.
+    Every cell outside ``drop_column`` must be a number, except in a first
+    row that fails to parse: that row is a header and is skipped.
+    """
+    rows = []
+    with open(path, newline="") as fh:
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if any(c.strip() for c in row):
+                    rows.append((lineno, [c.strip() for c in row]))
+        except csv.Error as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    width = len(rows[0][1])
+    keep = list(range(width))
+    if drop_column is not None:
+        if width < 2:
+            raise ParseError(f"{path}: need at least one feature and a label column")
+        if not -width <= drop_column < width:
+            raise ParseError(f"{path}: label column {drop_column} out of range")
+        del keep[drop_column]
+    points, dropped = [], []
+    for pos, (lineno, row) in enumerate(rows):
+        if len(row) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+        try:
+            points.append([float(row[i]) for i in keep])
+        except ValueError:
+            if pos == 0:
+                continue  # header row
+            raise ParseError(f"{path}:{lineno}: non-numeric feature") from None
+        if drop_column is not None:
+            dropped.append(row[drop_column])
+    if not points:
+        raise ParseError(f"{path}: no data rows")
+    return np.array(points), dropped
+
+
 def load_csv(path, label_column: int = -1, positive_value: str = "1") -> LabeledDataset:
     """Read labeled points from a CSV file.
 
@@ -156,35 +198,17 @@ def load_csv(path, label_column: int = -1, positive_value: str = "1") -> Labeled
     matches ``positive_value`` (string comparison after stripping).  A first
     row that does not parse as numbers is treated as a header.
     """
-    rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            rows.append((lineno, [c.strip() for c in row]))
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    width = len(rows[0][1])
-    if width < 2:
-        raise ParseError(f"{path}: need at least one feature and a label column")
-    if not -width <= label_column < width:
-        raise ParseError(f"{path}: label column {label_column} out of range")
-    label_idx = label_column % width
-    points, labels = [], []
-    for pos, (lineno, row) in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
-        feats = [c for i, c in enumerate(row) if i != label_idx]
-        try:
-            points.append([float(c) for c in feats])
-        except ValueError:
-            if pos == 0:
-                continue  # header row
-            raise ParseError(f"{path}:{lineno}: non-numeric feature") from None
-        labels.append(row[label_idx] == positive_value)
-    if not points:
-        raise ParseError(f"{path}: no data rows")
-    return LabeledDataset(np.array(points), np.array(labels))
+    points, labels = _read_table(path, label_column)
+    return LabeledDataset(points, np.array([c == positive_value for c in labels]))
+
+
+def load_points(path, drop_column: int = None) -> np.ndarray:
+    """Read unlabeled points ``(n, d)`` from a CSV file.
+
+    Every column except ``drop_column`` (if given) is a numeric feature.  A
+    first row that does not parse as numbers is treated as a header.
+    """
+    return _read_table(path, drop_column)[0]
 
 
 def write_csv(data: LabeledDataset, path):

@@ -33,7 +33,7 @@ import numpy as np
 from .density import DensityPair
 from .errors import VanishingPositiveMassError
 from .field import ScalarField, _quadrature_weights
-from .metrics import smoothed_delta, smoothed_heaviside
+from .metrics import check_beta, smoothed_delta, smoothed_heaviside
 
 _MASS_FLOOR = 1e-12
 _BAND_FRACTION = 1e-3
@@ -59,8 +59,7 @@ class MeasureEnergy:
             raise ValueError(f"unknown energy kind {self.kind!r}")
         if self.eps <= 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        check_beta(self.beta)
         if self.kind == "accuracy":
             if self.k is not None:
                 raise ValueError("k only applies to the f_measure energy")

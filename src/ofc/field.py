@@ -390,15 +390,16 @@ def read_field(path) -> ScalarField:
 
 
 def write_pgm(f: ScalarField, path):
-    """8-bit ASCII graymap of a 2-D field.
+    """8-bit ASCII graymap of a 1-D or 2-D field.
 
-    Values are mapped affinely from [min, max] to [0, 255]; columns follow
-    axis 0 and rows run top-to-bottom along decreasing axis 1, so the image
-    is oriented like a conventional x/y plot.
+    Values are mapped affinely from [min, max] to [0, 255] (a constant field
+    is all 0); columns follow axis 0 and rows run top-to-bottom along
+    decreasing axis 1, so the image is oriented like a conventional x/y
+    plot.  A 1-D field is a single row.
     """
-    if f.grid.dim != 2:
-        raise DimensionError("graymap export is defined for 2-D fields only")
-    vals = f.values
+    if f.grid.dim > 2:
+        raise DimensionError("graymap export is defined for 1-D and 2-D fields only")
+    vals = f.values.reshape(f.grid.shape[0], -1)
     lo, hi = vals.min(), vals.max()
     if hi > lo:
         gray = np.rint((vals - lo) / (hi - lo) * 255.0).astype(int)

@@ -40,6 +40,7 @@ from .field import GridSpec, ScalarField
 from .metrics import (
     ConfusionCounts,
     MetricsReport,
+    check_beta,
     confusion_from_predictions,
     metrics_from_counts,
 )
@@ -179,8 +180,7 @@ def threshold_oracle(source, beta: float = 1.0, steps: int = 2000, metric: str =
     taus and returns (tau*, metrics at tau*); ties resolve to the
     smallest tau.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    check_beta(beta)
     if steps < 2:
         raise ValueError(f"need at least 2 sweep steps, got {steps}")
     if isinstance(source, AnalyticToy):
@@ -251,8 +251,10 @@ class ExperimentSpec:
                 )
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        if any(b <= 0 for b in self.betas) or not self.betas:
-            raise ValueError("beta grid must be nonempty and positive")
+        if not self.betas:
+            raise ValueError("beta grid must be nonempty")
+        for b in self.betas:
+            check_beta(b)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 

@@ -76,14 +76,19 @@ class MetricsReport:
         )
 
 
+def check_beta(beta: float) -> None:
+    """Raise ValueError unless the F-beta weight is positive and finite."""
+    if not (np.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+
+
 def metrics_from_counts(counts: ConfusionCounts, beta: float = 1.0) -> MetricsReport:
     """All measures from one confusion table.
 
     A table with tp == 0 is degenerate, not an error: recall, precision and
     F-beta are 0 and the misclassification ratio epsilon is infinite.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    check_beta(beta)
     if counts.total <= 0:
         raise EmptyConfusionError("confusion table is empty")
     tp, fp, fn, tn = counts.tp, counts.fp, counts.fn, counts.tn

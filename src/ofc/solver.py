@@ -38,6 +38,7 @@ from .field import (
     init_shape,
     laplacian,
 )
+from .metrics import check_beta
 
 _CONSECUTIVE_FOR_CONVERGENCE = 5
 _MAX_DT_HALVINGS = 80
@@ -73,8 +74,7 @@ class TrainConfig:
     descent: str = "derivative"
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        check_beta(self.beta)
         for name in ("dt", "lam", "eps_h", "tol"):
             v = getattr(self, name)
             if v is not None and (not math.isfinite(v) or v <= 0):

@@ -1,4 +1,6 @@
 """End-to-end command-line checks: every subcommand, exit codes, determinism."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,14 @@ def test_gen_unwritable_path_is_data_error(tmp_path):
     assert run("gen", "--db", "toy", "--out", tmp_path / "no" / "dir.csv") == 2
 
 
+@pytest.mark.parametrize("subsample", [0, -5])
+def test_gen_subsample_below_one_is_usage_error(tmp_path, capsys, subsample):
+    out = tmp_path / "x.csv"
+    assert run("gen", "--db", "toy", "--out", out, "--subsample", subsample) == 1
+    assert "subsample must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train / predict
 
@@ -132,9 +142,49 @@ def test_train_missing_file_is_data_error(tmp_path):
                "--out", tmp_path / "m.txt") == 2
 
 
-def test_train_invalid_flag_value_is_usage_error(tmp_path, separable_csv):
-    assert run("train", "--data", separable_csv, "--out", tmp_path / "m.txt",
-               "--beta", -1.0) == 1
+def test_train_invalid_flag_value_is_usage_error(tmp_path, separable_csv, capsys):
+    for beta in ("-1.0", "nan", "inf"):
+        assert run("train", "--data", separable_csv, "--out", tmp_path / "m.txt",
+                   "--beta", beta) == 1
+        assert "beta must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_train_without_flags_uses_library_defaults(tmp_path, separable_csv, monkeypatch):
+    import ofc.cli
+    from ofc.solver import TrainConfig
+
+    seen = {}
+
+    def fake_fit(data, cfg, **kwargs):
+        seen.update(cfg=cfg, kwargs=kwargs)
+        raise ValueError("stop here")
+
+    monkeypatch.setattr(ofc.cli, "fit", fake_fit)
+    assert run("train", "--data", separable_csv, "--out", tmp_path / "m.txt") == 1
+    assert seen == {"cfg": TrainConfig(), "kwargs": {}}
+
+
+def test_degenerate_training_run_exits_numerical(tmp_path, separable_csv,
+                                                 monkeypatch, capsys):
+    import ofc.cli
+    from ofc.classifier import fit, load
+
+    def one_class_fit(data, cfg, **kwargs):
+        model, trace = fit(data, cfg, **kwargs)
+        model = replace(model, u=model.u.with_values(-np.abs(model.u.values) - 1.0),
+                        degenerate=True)
+        return model, trace
+
+    monkeypatch.setattr(ofc.cli, "fit", one_class_fit)
+    model, trace = tmp_path / "m.txt", tmp_path / "t.csv"
+    assert run("train", "--data", separable_csv, "--out", model, "--trace", trace,
+               "--resolution", 16, "--max-iter", 5) == 3
+    err = capsys.readouterr().err
+    assert "max-iter, degenerate after 5 iterations" in err
+    assert "numerical failure" in err and "never changes sign" in err
+    assert load(model).degenerate  # model and trace are still written
+    assert trace.read_text().startswith("# ")
 
 
 def test_frontier_of_degenerate_model_is_numerical_error(tmp_path):
@@ -207,6 +257,16 @@ def test_field_pgm_1d(tmp_path, model_1d):
     pixels = [int(v) for v in body[2].split()]
     assert len(pixels) == 65
     assert min(pixels) == 0 and max(pixels) == 255
+
+
+def test_field_pgm_is_the_library_writer(tmp_path, model_2d):
+    from ofc.classifier import load
+    from ofc.field import write_pgm
+
+    out, ref = tmp_path / "cli.pgm", tmp_path / "lib.pgm"
+    assert run("field", "--model", model_2d, "--out", out) == 0
+    write_pgm(load(model_2d).u, ref)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_field_pgm_2d(tmp_path, model_2d):
@@ -288,6 +348,19 @@ def test_eval_unknown_config_key_is_data_error(tmp_path, separable_csv):
     assert run("eval", "--config", cfg, "--out", tmp_path / "s.csv") == 2
 
 
+def test_eval_non_finite_beta_is_usage_error(tmp_path, separable_csv, capsys):
+    cfg = eval_config(tmp_path / "exp.cfg", separable_csv, betas="nan")
+    out = tmp_path / "s.csv"
+    assert run("eval", "--config", cfg, "--out", out) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_subsample_below_one_is_usage_error(tmp_path, separable_csv):
+    cfg = eval_config(tmp_path / "exp.cfg", separable_csv, subsample=0)
+    assert run("eval", "--config", cfg, "--out", tmp_path / "s.csv") == 1
+
+
 def test_eval_missing_data_key_is_data_error(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("classifiers = nb\n")
@@ -314,6 +387,21 @@ def test_sweep_beta_rejects_nonpositive_beta(tmp_path, separable_csv):
 
 # ---------------------------------------------------------------------------
 # top-level behavior
+
+
+def test_undecodable_input_is_data_error(tmp_path, model_1d, separable_csv, capsys):
+    binary = tmp_path / "binary.bin"
+    binary.write_bytes(bytes(range(256)) * 4)
+    out = tmp_path / "out.txt"
+    commands = [
+        ("train", "--data", binary, "--out", out),
+        ("predict", "--model", model_1d, "--data", binary, "--out", out),
+        ("predict", "--model", binary, "--data", separable_csv, "--out", out),
+        ("eval", "--config", binary, "--out", out),
+    ]
+    for cmd in commands:
+        assert run(*cmd) == 2, cmd
+        assert "data error" in capsys.readouterr().err
 
 
 def test_help_exits_cleanly():

@@ -7,6 +7,7 @@ from ofc.data import (
     gen_toy1d,
     kfold,
     load_csv,
+    load_points,
     load_skin,
     write_csv,
 )
@@ -132,6 +133,26 @@ class TestCsv:
         path.write_text("1.0,1\n")
         with pytest.raises(ParseError):
             load_csv(path, label_column=5)
+
+    def test_load_points_header_and_dropped_column(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("x,label,y\n\n1.0,a,2.0\n3.0,b,4.0\n")
+        assert load_points(path, drop_column=1).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert load_points(path, drop_column=-2).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(ParseError, match=":3:"):
+            load_points(path)  # the label column is not numeric
+
+    def test_load_points_ragged_row_reports_line(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("1.0,2.0\n\n3.0,4.0,5.0\n")
+        with pytest.raises(ParseError, match=r"ragged\.csv:3: expected 2 columns, got 3"):
+            load_points(path)
+
+    def test_oversized_field_is_parse_error(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("1.0,1\n" + "9" * 200_000 + ",0\n")
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            load_csv(path)
 
 
 class TestSkin:

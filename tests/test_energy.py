@@ -268,6 +268,8 @@ def test_constructor_validation():
         MeasureEnergy(pair, eps=-0.05)
     with pytest.raises(ValueError):
         MeasureEnergy(pair, eps=0.05, beta=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        MeasureEnergy(pair, eps=0.05, beta=float("nan"))
     with pytest.raises(ValueError):
         MeasureEnergy(pair, eps=0.05, kind="accuracy", k=1.0)
     with pytest.raises(ValueError):

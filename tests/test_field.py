@@ -327,10 +327,17 @@ class TestSerialization:
         assert lines[3] == "255 102 204"
         assert lines[4] == "0 51 153"
 
-    def test_pgm_rejects_1d(self, tmp_path):
+    def test_pgm_1d_is_one_row(self, tmp_path):
+        g = GridSpec(((0.0, 1.0),), (3,))
+        f = ScalarField(g, np.array([2.0, -1.0, 0.5, 3.0]))
+        path = tmp_path / "f.pgm"
+        write_pgm(f, path)
+        assert path.read_text() == "P2\n4 1\n255\n191 0 96 255\n"
+
+    def test_pgm_rejects_3d(self, tmp_path):
         from ofc.errors import DimensionError
 
-        g = GridSpec(((0.0, 1.0),), (4,))
-        f = ScalarField(g, np.zeros(5))
+        g = GridSpec(((0.0, 1.0),) * 3, (2, 2, 2))
+        f = ScalarField(g, np.zeros((3, 3, 3)))
         with pytest.raises(DimensionError):
             write_pgm(f, tmp_path / "f.pgm")

@@ -160,6 +160,8 @@ def test_oracle_input_validation():
         threshold_oracle(toy, steps=1)
     with pytest.raises(ValueError):
         threshold_oracle(toy, beta=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        threshold_oracle(toy, beta=float("inf"))
     with pytest.raises(ValueError):
         threshold_oracle(toy, metric="auc")
 
@@ -188,6 +190,8 @@ def test_experiment_spec_validation():
         ExperimentSpec(data=data, betas=())
     with pytest.raises(ValueError):
         ExperimentSpec(data=data, betas=(0.0,))
+    with pytest.raises(ValueError, match="finite"):
+        ExperimentSpec(data=data, betas=(1.0, float("nan")))
     with pytest.raises(ValueError):
         ExperimentSpec(data=data, workers=0)
 

@@ -109,8 +109,9 @@ def test_negative_count_rejected():
 
 
 def test_bad_beta_rejected():
-    with pytest.raises(ValueError):
-        metrics_from_counts(ConfusionCounts(1.0, 1.0, 1.0, 1.0), beta=0.0)
+    for beta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            metrics_from_counts(ConfusionCounts(1.0, 1.0, 1.0, 1.0), beta=beta)
 
 
 def test_csv_row_format():

@@ -118,6 +118,8 @@ def test_config_validation():
     TrainConfig(lam=0.0)  # diffusion may be switched off
     for bad in (
         dict(beta=0.0),
+        dict(beta=float("nan")),
+        dict(beta=float("inf")),
         dict(dt=-1.0),
         dict(dt=float("nan")),
         dict(lam=-0.1),
