@@ -152,53 +152,58 @@ def _thresholds_1d(u: ScalarField) -> list:
     return sorted(set(out))
 
 
-def _edge_zero(p, q, a, b):
+def _edge_zeros(x0, x1, y0, y1, a, b):
+    """Zero crossings of u on grid edges from (x0, y0), value a, to (x1, y1), value b.
+
+    All six arguments broadcast against each other.  The point is linear
+    interpolation at ``t = a / (a - b)``, or the edge midpoint when
+    ``a == b``; the result has shape ``a.shape + (2,)``.
+    """
     den = a - b
-    t = 0.5 if den == 0.0 else a / den
-    return (float(p[0] + t * (q[0] - p[0])), float(p[1] + t * (q[1] - p[1])))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.where(den == 0.0, 0.5, a / den)
+    return np.stack([x0 + t * (x1 - x0), y0 + t * (y1 - y0)], axis=-1)
 
 
 # Corner bits: 1=(i,j), 2=(i+1,j), 4=(i+1,j+1), 8=(i,j+1); edges 0..3 run
 # (i,j)-(i+1,j), (i+1,j)-(i+1,j+1), (i,j+1)-(i+1,j+1), (i,j)-(i,j+1).
-_CASES = {
-    1: [(0, 3)], 2: [(0, 1)], 3: [(1, 3)], 4: [(1, 2)],
-    6: [(0, 2)], 7: [(2, 3)], 8: [(2, 3)], 9: [(0, 2)],
-    11: [(1, 2)], 12: [(1, 3)], 13: [(0, 1)], 14: [(0, 3)],
-}
+# Row ``case`` lists the cell's segments as edge pairs, -1 padded.  Rows 5
+# and 10 are the saddles with a non-negative corner average; a saddle with a
+# negative one joins its edges the other way, which is the other saddle's row.
+_CASES = np.array([
+    [(-1, -1), (-1, -1)],  # 0
+    [(0, 3), (-1, -1)], [(0, 1), (-1, -1)], [(1, 3), (-1, -1)],
+    [(1, 2), (-1, -1)], [(0, 1), (2, 3)], [(0, 2), (-1, -1)],
+    [(2, 3), (-1, -1)], [(2, 3), (-1, -1)], [(0, 2), (-1, -1)],
+    [(0, 3), (1, 2)], [(1, 2), (-1, -1)], [(1, 3), (-1, -1)],
+    [(0, 1), (-1, -1)], [(0, 3), (-1, -1)],
+    [(-1, -1), (-1, -1)],  # 15
+])
 
 
 def _marching_squares(u: ScalarField) -> list:
     x, y = u.grid.axes()
     v = u.values
-    segments = []
-    for i in range(v.shape[0] - 1):
-        for j in range(v.shape[1] - 1):
-            corners = [
-                ((x[i], y[j]), v[i, j]),
-                ((x[i + 1], y[j]), v[i + 1, j]),
-                ((x[i + 1], y[j + 1]), v[i + 1, j + 1]),
-                ((x[i], y[j + 1]), v[i, j + 1]),
-            ]
-            case = sum(1 << c for c, (_, val) in enumerate(corners) if val >= 0)
-            if case in (0, 15):
-                continue
-            edges = {
-                0: _edge_zero(corners[0][0], corners[1][0], corners[0][1], corners[1][1]),
-                1: _edge_zero(corners[1][0], corners[2][0], corners[1][1], corners[2][1]),
-                2: _edge_zero(corners[3][0], corners[2][0], corners[3][1], corners[2][1]),
-                3: _edge_zero(corners[0][0], corners[3][0], corners[0][1], corners[3][1]),
-            }
-            if case in (5, 10):
-                # Saddle cell: split by the sign of the corner average.
-                center_pos = sum(val for _, val in corners) >= 0
-                if (case == 5) == center_pos:
-                    pairs = [(0, 1), (2, 3)]
-                else:
-                    pairs = [(0, 3), (1, 2)]
-            else:
-                pairs = _CASES[case]
-            for a, b in pairs:
-                segments.append((edges[a], edges[b]))
+    # zero points on the axis-0 edges (i,j)-(i+1,j) and axis-1 edges (i,j)-(i,j+1)
+    xs, ys = x[:, None], y[None, :]
+    on_x = _edge_zeros(xs[:-1], xs[1:], ys, ys, v[:-1, :], v[1:, :])
+    on_y = _edge_zeros(xs, xs, ys[:, :-1], ys[:, 1:], v[:, :-1], v[:, 1:])
+    # edges 0..3 of every cell, cells in row-major order
+    edges = np.stack([on_x[:, :-1], on_y[1:, :], on_x[:, 1:], on_y[:-1, :]]).reshape(4, -1, 2)
+    c00, c10, c11, c01 = v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]
+    case = (
+        (c00 >= 0) * 1 + (c10 >= 0) * 2 + (c11 >= 0) * 4 + (c01 >= 0) * 8
+    ).ravel()
+    # saddle split by the sign of the corner average, summed in corner order
+    centre_neg = ((((c00 + c10) + c11) + c01) < 0).ravel()
+    swap = ((case == 5) | (case == 10)) & centre_neg
+    case[swap] = 15 - case[swap]
+    cells = np.flatnonzero((case != 0) & (case != 15))
+    pairs = _CASES[case[cells]].reshape(-1, 2)  # two slots per cell, in cell order
+    keep = pairs[:, 0] >= 0
+    pairs, cell = pairs[keep], np.repeat(cells, 2)[keep]
+    ends = np.stack([edges[pairs[:, 0], cell], edges[pairs[:, 1], cell]], axis=1)
+    segments = [(tuple(p), tuple(q)) for p, q in ends.tolist()]
     return _stitch(segments)
 
 

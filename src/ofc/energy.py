@@ -23,9 +23,21 @@ p_count*f+ > n_count*f-.
 Two descent directions are available: the first variation of E, and a
 cheaper surrogate proportional to it (the scale factor is A**2 with k
 replaced by beta**2), which has the same zero set.
+
+The training loop evaluates these on every iteration, so each is written
+as few whole-grid passes.  With H = 1/2 + arctan(u/eps)/pi, the three
+fractions come from one weighted sum S+/- of arctan(u/eps) against the
+quadrature-weighted densities, whose masses are W+/-:
+
+    A = W+/2 + S+/pi,   B = W+/2 - S+/pi,   C = W-/2 + S-/pi.
+
+The descent directions divide one numerator, a combination of f+ and f-
+with every scalar factor (eps/pi, 1/A, ...) folded into its two
+coefficients, by eps**2 + u**2.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +45,7 @@ import numpy as np
 from .density import DensityPair
 from .errors import VanishingPositiveMassError
 from .field import ScalarField, _quadrature_weights
-from .metrics import check_beta, smoothed_delta, smoothed_heaviside
+from .metrics import check_beta, smoothed_delta
 
 _MASS_FLOOR = 1e-12
 _BAND_FRACTION = 1e-3
@@ -69,22 +81,49 @@ class MeasureEnergy:
             )
         elif self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
-        # quadrature-weighted densities: each fraction is then one sum
+        # quadrature-weighted densities, one row per class, and half their
+        # masses: the fractions are then one matrix-vector product
         w = _quadrature_weights(self.pair.grid)
-        object.__setattr__(self, "_w_pos", self.pair.f_pos.values * w)
-        object.__setattr__(self, "_w_neg", self.pair.f_neg.values * w)
+        fp, fn = self.pair.f_pos.values, self.pair.f_neg.values
+        weighted = np.stack([fp * w, fn * w]).reshape(2, -1)
+        object.__setattr__(self, "_weighted", weighted)
+        object.__setattr__(self, "_half_mass", (0.5 * weighted.sum(axis=1)).tolist())
+        if self.kind == "accuracy":
+            # the accuracy flow's numerator does not depend on u
+            num = (self.eps / math.pi) * (self.pair.n_count * fn - self.pair.p_count * fp)
+            object.__setattr__(self, "_accuracy_numerator", num)
 
     def _fractions(self, u: ScalarField) -> tuple[float, float, float]:
         """(A, B, C); raises once the positive region loses all f+ mass."""
-        h = smoothed_heaviside(u.values, self.eps)
-        a = float(np.sum(h * self._w_pos))
-        b = float(np.sum((1.0 - h) * self._w_pos))
-        c = float(np.sum(h * self._w_neg))
+        s = self._weighted @ np.arctan(u.values / self.eps).ravel()
+        s_pos, s_neg = s.tolist()
+        half_pos, half_neg = self._half_mass
+        a = half_pos + s_pos / math.pi
+        b = half_pos - s_pos / math.pi
+        c = half_neg + s_neg / math.pi
         if self.kind == "f_measure" and a < _MASS_FLOOR:
             raise VanishingPositiveMassError(
                 f"positive region holds {a:.3e} of the positive density"
             )
         return a, b, c
+
+    def _impulse_denominator(self, u: ScalarField) -> np.ndarray:
+        """eps**2 + u**2, the impulse's denominator, as a fresh array."""
+        den = u.values * u.values
+        den += self.eps**2
+        return den
+
+    def _flow(self, u: ScalarField, ratio: float, scale: float) -> ScalarField:
+        """``scale * (f- - ratio * f+) / (eps**2 + u**2)`` as a field.
+
+        With ``scale = c * eps / pi`` this is ``c * smoothed_delta(u) *
+        (f- - ratio * f+)``.
+        """
+        num = self.pair.f_pos.values * ratio
+        np.subtract(self.pair.f_neg.values, num, out=num)
+        num *= scale
+        num /= self._impulse_denominator(u)
+        return u.with_values(num)
 
     def evaluate(self, u: ScalarField, return_fractions: bool = False):
         """Energy at u; with ``return_fractions``, (energy, (A, B, C)).
@@ -103,24 +142,23 @@ class MeasureEnergy:
     def gradient(self, u: ScalarField, fractions: tuple = None) -> ScalarField:
         """First variation of the energy at u, as a field on the same grid.
 
-        ``fractions`` are u's (A, B, C) when already known.
+        ``fractions`` are u's (A, B, C) when already known.  The f_measure
+        form is ``delta(u) * (f- - (k + E) * f+) / A``.
         """
-        delta = smoothed_delta(u.values, self.eps)
-        fp, fn = self.pair.f_pos.values, self.pair.f_neg.values
         if self.kind == "accuracy":
-            return u.with_values(
-                delta * (self.pair.n_count * fn - self.pair.p_count * fp)
-            )
+            den = self._impulse_denominator(u)
+            return u.with_values(np.divide(self._accuracy_numerator, den, out=den))
         a, b, c = fractions if fractions is not None else self._fractions(u)
         e = (self.k * b + c) / a
-        return u.with_values(delta * (fn - (self.k + e) * fp) / a)
+        return self._flow(u, self.k + e, self.eps / (math.pi * a))
 
     def descent_direction(
         self, u: ScalarField, kind: str = "derivative", fractions: tuple = None
     ) -> ScalarField:
         """Field to subtract (times dt) from u; "derivative" or "G".
 
-        ``fractions`` are u's (A, B, C) when already known.
+        ``fractions`` are u's (A, B, C) when already known.  "G" is
+        ``delta(u) * ((f- - beta**2 * f+) * A - f+ * (C + beta**2 * B))``.
         """
         if kind == "derivative":
             return self.gradient(u, fractions)
@@ -129,10 +167,8 @@ class MeasureEnergy:
         if self.kind != "f_measure":
             raise ValueError("descent kind 'G' only applies to the f_measure energy")
         a, b, c = fractions if fractions is not None else self._fractions(u)
-        delta = smoothed_delta(u.values, self.eps)
-        fp, fn = self.pair.f_pos.values, self.pair.f_neg.values
         b2 = self.beta**2
-        return u.with_values(delta * ((fn - b2 * fp) * a - fp * (c + b2 * b)))
+        return self._flow(u, b2 + (c + b2 * b) / a, self.eps * a / math.pi)
 
     def stationarity_residual(self, u: ScalarField) -> float:
         """Largest gradient magnitude on the active band around the zero set.

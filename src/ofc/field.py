@@ -4,6 +4,12 @@ Everything downstream (densities, energies, the gradient flow) lives on
 one of these grids, so this module owns the quadrature, interpolation,
 finite-difference stencils, signed-distance initializations and the text
 serialization formats.
+
+The Laplacian runs on every training step, on grids small enough that
+each whole-array numpy call costs about as much as the arithmetic in it.
+It is therefore written as few passes: the centre term, then per axis one
+sum of the two neighbour slices and one correction of the two end rows,
+with the weights and index tuples cached per grid shape and spacing.
 """
 from __future__ import annotations
 
@@ -115,6 +121,13 @@ class ScalarField:
     def with_values(self, values: np.ndarray) -> "ScalarField":
         return ScalarField(self.grid, values)
 
+    def _with_finite_values(self, values: np.ndarray) -> "ScalarField":
+        """Like :meth:`with_values`, for a float array of ``grid.shape`` whose
+        values the caller has already shown to be finite; skips the checks."""
+        out = object.__new__(ScalarField)
+        out.grid, out.values = self.grid, values
+        return out
+
 
 def _require_same_grid(a: ScalarField, b: ScalarField):
     if a.grid != b.grid:
@@ -176,28 +189,50 @@ def interpolate(f: ScalarField, points, clamp: bool = True):
 def laplacian(f: ScalarField) -> ScalarField:
     """Central-difference Laplacian with mirrored ghost nodes (zero normal flux).
 
-    Along each axis the second difference is the difference of the first
-    differences ``d``; a mirrored ghost node turns the end rows into
-    ``2 * d[0]`` and ``-2 * d[-1]``.
+    Each node gets ``-2 * sum(h**-2) * v`` plus, per axis, ``h**-2`` times
+    the sum of its two neighbours along that axis.  A mirrored ghost node
+    equals the end node's inner neighbour, so the end rows count that
+    neighbour twice.
     """
     grid = f.grid
     if min(grid.shape) < 3:
         raise ValueError("laplacian needs at least 3 nodes per axis")
     v = f.values
-    out = np.zeros(grid.shape)
-    for ax, h in enumerate(grid.spacing):
-        head, tail = _along(ax, slice(None, -1)), _along(ax, slice(1, None))
-        d = v[tail] - v[head]
-        d /= h * h
-        out[_along(ax, slice(1, -1))] += d[tail] - d[head]
-        out[_along(ax, 0)] += 2.0 * d[_along(ax, 0)]
-        out[_along(ax, -1)] -= 2.0 * d[_along(ax, -1)]
+    centre, axes = _laplacian_stencil(grid.shape, grid.spacing)
+    out = v * centre
+    for c, mid, up, down, c2, ends, inner in axes:
+        s = v[up] + v[down]
+        s *= c
+        rows = out[mid]  # a view: adding in place writes through to out
+        rows += s
+        rows = out[ends]
+        rows += c2 * v[inner]
     return ScalarField(grid, out)
 
 
-def _along(ax: int, index) -> tuple:
-    """Index tuple applying ``index`` to axis ``ax`` and keeping every other axis whole."""
-    return (slice(None),) * ax + (index,)
+@functools.lru_cache(maxsize=64)
+def _laplacian_stencil(shape: tuple, spacing: tuple):
+    """Centre weight and, per axis, the weights and index tuples of :func:`laplacian`.
+
+    Per axis: ``h**-2``; the interior rows and their upper and lower
+    neighbours; ``2 * h**-2``; the two end rows and their inner neighbours
+    (one row broadcast to both ends on a 3-node axis).
+    """
+    axes = []
+    for ax, (n, h) in enumerate(zip(shape, spacing)):
+        lead = (slice(None),) * ax
+        c = 1.0 / (h * h)
+        inner = slice(1, 2) if n == 3 else slice(1, n - 1, n - 3)
+        axes.append((
+            c,
+            lead + (slice(1, -1),),
+            lead + (slice(2, None),),
+            lead + (slice(None, -2),),
+            2.0 * c,
+            lead + (slice(None, None, n - 1),),
+            lead + (inner,),
+        ))
+    return -2.0 * sum(a[0] for a in axes), tuple(axes)
 
 
 def gradient_magnitude(f: ScalarField) -> ScalarField:
@@ -248,8 +283,7 @@ class SphereLattice:
     offset: tuple = 0.0
 
 
-def _sphere_values(grid: GridSpec, center: np.ndarray, radius: float) -> np.ndarray:
-    mesh = grid.mesh()
+def _sphere_values(mesh: list, center: np.ndarray, radius: float) -> np.ndarray:
     d2 = sum((m - c) ** 2 for m, c in zip(mesh, center))
     return radius - np.sqrt(d2)
 
@@ -301,7 +335,7 @@ def init_shape(grid: GridSpec, shape=None) -> ScalarField:
         if center.shape != (grid.dim,):
             raise InvalidShapeError("sphere center dimension does not match the grid")
         _check_inside(grid, center, "sphere center")
-        return ScalarField(grid, _sphere_values(grid, center, float(shape.radius)))
+        return ScalarField(grid, _sphere_values(grid.mesh(), center, float(shape.radius)))
     if isinstance(shape, Box):
         lo = np.asarray(shape.lo, dtype=float)
         hi = np.asarray(shape.hi, dtype=float)
@@ -320,9 +354,10 @@ def init_shape(grid: GridSpec, shape=None) -> ScalarField:
         return ScalarField(grid, -(outside + inside))
     if isinstance(shape, SphereLattice):
         centers, radius = _lattice_centers(grid, shape)
+        mesh = grid.mesh()
         vals = np.full(grid.shape, -np.inf)
         for c in centers:
-            vals = np.maximum(vals, _sphere_values(grid, c, radius))
+            vals = np.maximum(vals, _sphere_values(mesh, c, radius))
         return ScalarField(grid, vals)
     raise InvalidShapeError(f"unsupported shape {type(shape).__name__}")
 

@@ -18,11 +18,11 @@ the ``ofc.harness`` logger.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .classifier import densities_for, fit as ofc_fit, predict as ofc_predict
 from .data import (
@@ -48,6 +48,17 @@ from .solver import TrainConfig
 
 logger = logging.getLogger(__name__)
 
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _normal_cdf(z):
+    """Standard normal CDF: a float for a scalar, an array for an array."""
+    if np.ndim(z) == 0:
+        return 0.5 * math.erfc(-float(z) * _SQRT_HALF)
+    z = np.asarray(z, dtype=float)
+    cdf = [0.5 * math.erfc(-v * _SQRT_HALF) for v in z.ravel().tolist()]
+    return np.array(cdf).reshape(z.shape)
+
 
 # ---------------------------------------------------------------------------
 # analytic 1-D toy problem
@@ -72,8 +83,8 @@ class AnalyticToy:
 
     def counts_at(self, tau) -> ConfusionCounts:
         tau = float(tau)
-        fn = self.p_count * ndtr((tau - self.pos_mean) / self.sigma)
-        fp = self.n_count * ndtr((self.neg_mean - tau) / self.sigma)
+        fn = self.p_count * _normal_cdf((tau - self.pos_mean) / self.sigma)
+        fp = self.n_count * _normal_cdf((self.neg_mean - tau) / self.sigma)
         return ConfusionCounts(
             tp=self.p_count - fn, fn=fn, fp=fp, tn=self.n_count - fp
         )
@@ -185,8 +196,8 @@ def threshold_oracle(source, beta: float = 1.0, steps: int = 2000, metric: str =
         raise ValueError(f"need at least 2 sweep steps, got {steps}")
     if isinstance(source, AnalyticToy):
         taus = np.linspace(source.lo, source.hi, steps)
-        fn = source.p_count * ndtr((taus - source.pos_mean) / source.sigma)
-        fp = source.n_count * ndtr((source.neg_mean - taus) / source.sigma)
+        fn = source.p_count * _normal_cdf((taus - source.pos_mean) / source.sigma)
+        fp = source.n_count * _normal_cdf((source.neg_mean - taus) / source.sigma)
         tp = source.p_count - fn
         tn = source.n_count - fp
     else:

@@ -18,6 +18,7 @@ every node, so the classifier is unchanged.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -153,18 +154,25 @@ def step(
         dt = cfg.dt
     if dt is None:
         raise ValueError("dt is unresolved; pass it explicitly or set cfg.dt")
-    update = e.descent_direction(u, cfg.descent, fractions).values
+    # the descent array is fresh, so the update is built in it in place
+    change = e.descent_direction(u, cfg.descent, fractions).values
     lam = resolved_lambda(cfg, u.grid)
     if lam != 0.0:
-        update = update - lam * laplacian(u).values
-    change = dt * update
+        diffusion = laplacian(u).values
+        diffusion *= lam
+        change -= diffusion
+    change *= dt
     limit = 10.0 * max(u.grid.spacing)
-    worst = float(np.abs(change).max())
+    worst = max(float(change.max()), -float(change.min()))
     if worst > limit:
         raise StepRejectedError(
             f"step of {worst:.3e} exceeds {limit:.3e} (10 cell widths)"
         )
-    return u.with_values(u.values - change)
+    np.subtract(u.values, change, out=change)
+    if math.isfinite(worst):
+        # no node moved by more than the limit, so the new field is finite
+        return u._with_finite_values(change)
+    return u.with_values(change)  # a nan update: raises
 
 
 def has_sign_change(u: ScalarField) -> bool:
@@ -193,6 +201,25 @@ def _axis_crossing_offsets(values: np.ndarray, spacing) -> list[np.ndarray]:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _flood_slices(shape: tuple, step: int) -> tuple:
+    """Index tuples of every non-zero offset in {-step, 0, step}^d that fits the grid.
+
+    Each entry is (dst, foot_dst, foot_src): the nodes that receive, and
+    the receiving and offering nodes with the leading coordinate axis of
+    ``foot`` and ``coords`` kept whole.
+    """
+    out = []
+    for off in np.ndindex(*(3,) * len(shape)):
+        shifts = [(o - 1) * step for o in off]
+        if not any(shifts) or any(abs(k) >= n for k, n in zip(shifts, shape)):
+            continue
+        dst = tuple(slice(max(0, -k), n - max(0, k)) for k, n in zip(shifts, shape))
+        src = tuple(slice(max(0, k), n - max(0, -k)) for k, n in zip(shifts, shape))
+        out.append((dst, (slice(None),) + dst, (slice(None),) + src))
+    return tuple(out)
+
+
 def _flood_pass(foot, d2, coords, free, step: int) -> bool:
     """Offer every node the feet of its neighbours at offsets in {-step, 0, step}^d.
 
@@ -201,14 +228,9 @@ def _flood_pass(foot, d2, coords, free, step: int) -> bool:
     node changed.
     """
     changed = False
-    for off in np.ndindex(*(3,) * d2.ndim):
-        shifts = [(o - 1) * step for o in off]
-        if not any(shifts) or any(abs(k) >= n for k, n in zip(shifts, d2.shape)):
-            continue
-        dst = tuple(slice(max(0, -k), n - max(0, k)) for k, n in zip(shifts, d2.shape))
-        src = tuple(slice(max(0, k), n - max(0, -k)) for k, n in zip(shifts, d2.shape))
-        offered = foot[(slice(None),) + src]
-        diff = coords[(slice(None),) + dst] - offered
+    for dst, foot_dst, foot_src in _flood_slices(d2.shape, step):
+        offered = foot[foot_src]
+        diff = coords[foot_dst] - offered
         diff *= diff
         cand = diff.sum(axis=0)
         better = cand < d2[dst]
@@ -216,7 +238,7 @@ def _flood_pass(foot, d2, coords, free, step: int) -> bool:
         if better.any():
             changed = True
             np.copyto(d2[dst], cand, where=better)
-            np.copyto(foot[(slice(None),) + dst], offered, where=better)
+            np.copyto(foot[foot_dst], offered, where=better)
     return changed
 
 

@@ -13,6 +13,8 @@ from ofc.errors import (
 from ofc.classifier import (
     PredictionResult,
     TrainedClassifier,
+    _marching_squares,
+    _stitch,
     density_fingerprint,
     fit,
     frontier,
@@ -218,6 +220,73 @@ def test_frontier_csv_blocks():
     first = text.splitlines()[0].split(",")
     assert len(first) == 2
     float(first[0]), float(first[1])  # parseable coordinates
+
+
+def _reference_edge_zero(p, q, a, b):
+    den = a - b
+    t = 0.5 if den == 0.0 else a / den
+    return (float(p[0] + t * (q[0] - p[0])), float(p[1] + t * (q[1] - p[1])))
+
+
+_REFERENCE_CASES = {
+    1: [(0, 3)], 2: [(0, 1)], 3: [(1, 3)], 4: [(1, 2)],
+    6: [(0, 2)], 7: [(2, 3)], 8: [(2, 3)], 9: [(0, 2)],
+    11: [(1, 2)], 12: [(1, 3)], 13: [(0, 1)], 14: [(0, 3)],
+}
+
+
+def reference_segments(u):
+    """Marching squares one cell at a time, cells in row-major order."""
+    x, y = u.grid.axes()
+    v = u.values
+    segments = []
+    for i in range(v.shape[0] - 1):
+        for j in range(v.shape[1] - 1):
+            corners = [
+                ((x[i], y[j]), v[i, j]),
+                ((x[i + 1], y[j]), v[i + 1, j]),
+                ((x[i + 1], y[j + 1]), v[i + 1, j + 1]),
+                ((x[i], y[j + 1]), v[i, j + 1]),
+            ]
+            case = sum(1 << c for c, (_, val) in enumerate(corners) if val >= 0)
+            if case in (0, 15):
+                continue
+            ends = [(0, 1), (1, 2), (3, 2), (0, 3)]
+            edges = {
+                e: _reference_edge_zero(corners[p][0], corners[q][0], corners[p][1], corners[q][1])
+                for e, (p, q) in enumerate(ends)
+            }
+            if case in (5, 10):
+                center_pos = sum(val for _, val in corners) >= 0
+                pairs = [(0, 1), (2, 3)] if (case == 5) == center_pos else [(0, 3), (1, 2)]
+            else:
+                pairs = _REFERENCE_CASES[case]
+            segments.extend((edges[a], edges[b]) for a, b in pairs)
+    return segments
+
+
+def test_marching_squares_matches_per_cell_reference():
+    rng = np.random.default_rng(5)
+    grid = GridSpec(bounds=((-1.0, 2.0), (-0.5, 0.5)), resolution=(17, 12))
+    saddles = 0
+    for trial in range(20):
+        # integers put exact zeros on nodes and equal values on edges
+        vals = rng.integers(-2, 3, size=grid.shape).astype(float)
+        if trial % 2:
+            vals = vals * rng.uniform(0.1, 1.0, size=grid.shape)
+        u = ScalarField(grid, vals)
+        pos = vals >= 0
+        saddles += int((
+            (pos[:-1, :-1] == pos[1:, 1:]) & (pos[1:, :-1] == pos[:-1, 1:])
+            & (pos[:-1, :-1] != pos[1:, :-1])
+        ).sum())
+        expected = _stitch(reference_segments(u))
+        got = _marching_squares(u)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+    assert saddles > 100
+    assert (vals == 0).any()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,12 @@ from ofc.density import DensityPair
 from ofc.energy import MeasureEnergy
 from ofc.errors import VanishingPositiveMassError
 from ofc.field import GridSpec, ScalarField, integrate
-from ofc.metrics import metrics_from_counts, smoothed_confusion, smoothed_delta
+from ofc.metrics import (
+    metrics_from_counts,
+    smoothed_confusion,
+    smoothed_delta,
+    smoothed_heaviside,
+)
 
 P_COUNT, N_COUNT = 1000.0, 50000.0
 
@@ -203,6 +208,69 @@ def test_fractions_from_evaluate_reproduce_descent(kind, descent):
         energy.descent_direction(u, descent, fractions).values,
         energy.descent_direction(u, descent).values,
     )
+
+
+def textbook(energy, u):
+    """(A, B, C), gradient and "G" direction from H and its impulse under `integrate`."""
+    pair, eps = energy.pair, energy.eps
+    fp, fn = pair.f_pos.values, pair.f_neg.values
+    h = smoothed_heaviside(u.values, eps)
+    delta = smoothed_delta(u.values, eps)
+    a = integrate(u.with_values(h * fp))
+    b = integrate(u.with_values((1.0 - h) * fp))
+    c = integrate(u.with_values(h * fn))
+    if energy.kind == "accuracy":
+        return (a, b, c), delta * (pair.n_count * fn - pair.p_count * fp), None
+    e = (energy.k * b + c) / a
+    gradient = delta * (fn - (energy.k + e) * fp) / a
+    b2 = energy.beta**2
+    surrogate = delta * ((fn - b2 * fp) * a - fp * (c + b2 * b))
+    return (a, b, c), gradient, surrogate
+
+
+def assert_close_to_max(got, expected, rel=1e-12):
+    assert np.abs(got - expected).max() <= rel * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("kind, descent", [("f_measure", "derivative"), ("f_measure", "G"),
+                                            ("accuracy", "derivative")])
+def test_folded_forms_match_textbook(kind, descent):
+    # fractions as arctan sums, scalars folded into the impulse's numerator
+    rng = np.random.default_rng(11)
+    grid = GridSpec(bounds=((-1.0, 2.0), (0.0, 0.5)), resolution=(24, 17))
+    for trial in range(5):
+        pair = DensityPair(
+            f_pos=ScalarField(grid, rng.uniform(0.0, 2.0, grid.shape)),
+            f_neg=ScalarField(grid, rng.uniform(0.0, 2.0, grid.shape)),
+            p_count=int(rng.integers(10, 1000)),
+            n_count=int(rng.integers(10, 100000)),
+        )
+        u = ScalarField(grid, rng.normal(0.2, 0.5, grid.shape))
+        energy = MeasureEnergy(pair, eps=0.05 * (trial + 1), kind=kind, beta=0.5 + trial)
+        fractions, gradient, surrogate = textbook(energy, u)
+        value, got = energy.evaluate(u, return_fractions=True)
+        np.testing.assert_allclose(got, fractions, rtol=1e-12, atol=0)
+        if kind == "accuracy":
+            expected = pair.p_count * fractions[1] + pair.n_count * fractions[2]
+        else:
+            a, b, c = fractions
+            expected = (energy.k * b + c) / a
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert_close_to_max(energy.gradient(u).values, gradient)
+        direction = energy.descent_direction(u, descent, got).values
+        assert_close_to_max(direction, gradient if descent == "derivative" else surrogate)
+
+
+def test_smoothed_step_and_impulse_accept_python_scalars():
+    eps = 0.25
+    assert smoothed_heaviside(0.0, eps) == 0.5
+    assert smoothed_heaviside(eps, eps) == pytest.approx(0.75)
+    assert smoothed_heaviside(-eps, eps) + smoothed_heaviside(eps, eps) == pytest.approx(1.0)
+    assert smoothed_delta(0.0, eps) == pytest.approx(1.0 / (np.pi * eps))
+    assert smoothed_delta(eps, eps) == pytest.approx(0.5 / (np.pi * eps))
+    for fn in (smoothed_heaviside, smoothed_delta):
+        assert np.ndim(fn(1.5, eps)) == 0
+        assert fn(1.5, eps) == fn(np.array([1.5]), eps)[0]
 
 
 @pytest.mark.parametrize("kind", ["f_measure", "accuracy"])

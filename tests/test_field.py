@@ -183,6 +183,8 @@ class TestStencils:
             (((0.0, 1.0),), (9,)),
             (((0.0, 1.0), (-2.0, 3.0)), (7, 12)),
             (((0.0, 0.5), (-1.0, 2.0), (0.0, 7.0)), (5, 6, 9)),
+            (((0.0, 1.0), (-2.0, 3.0)), (2, 3)),
+            (((0.0, 0.5), (-1.0, 2.0), (0.0, 7.0)), (3, 2, 4)),
         ],
     )
     def test_laplacian_matches_reflect_padded_stencil(self, bounds, res):

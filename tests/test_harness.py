@@ -1,9 +1,14 @@
 """Baselines, the threshold sweep oracle, and the experiment driver."""
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import ndtr
 
 import ofc.classifier
 import ofc.density
@@ -13,6 +18,7 @@ from ofc.errors import DegenerateDataError, DimensionError
 from ofc.harness import (
     AnalyticToy,
     ExperimentSpec,
+    _normal_cdf,
     naive_bayes_decision,
     naive_bayes_fit,
     naive_bayes_predict,
@@ -24,6 +30,36 @@ from ofc.solver import TrainConfig
 
 def nb_threshold(model, lo, hi):
     return brentq(lambda t: naive_bayes_decision(model, [[t]])[0], lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# normal CDF and the runtime dependencies
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(ofc.harness.__file__).resolve().parents[1])
+    code = (
+        "import sys; import ofc; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_normal_cdf_matches_ndtr():
+    z = np.linspace(-8.0, 8.0, 4001)
+    got = _normal_cdf(z)
+    assert isinstance(got, np.ndarray) and got.shape == z.shape
+    np.testing.assert_allclose(got, ndtr(z), rtol=1e-13, atol=0)
+    grid = _normal_cdf(z.reshape(1, -1, 1))
+    assert grid.shape == (1, z.size, 1)
+    for v in (-8.0, -1.5, 0.0, 0.3, 8.0, np.float64(2.5)):
+        cdf = _normal_cdf(v)
+        assert type(cdf) is float
+        assert cdf == pytest.approx(float(ndtr(v)), rel=1e-13, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from ofc.field import (
 )
 from ofc.solver import (
     TrainConfig,
+    _flood_slices,
     auto_time_step,
     default_resolution,
     has_sign_change,
@@ -201,6 +202,15 @@ def test_step_rejects_oversized_updates(toy):
         step(u, energy, pair, TrainConfig(), dt=1e9)
 
 
+def test_step_with_nan_update_raises(toy):
+    # the guard passes a nan update on, and building the field refuses it
+    pair, eps = toy
+    energy = MeasureEnergy(pair, eps=eps)
+    u = init_shape(pair.grid, RIGHT_BOX)
+    with pytest.raises(ValueError, match="finite"):
+        step(u, energy, pair, TrainConfig(), dt=float("nan"))
+
+
 def test_step_requires_matching_grid_and_dt(toy):
     pair, eps = toy
     energy = MeasureEnergy(pair, eps=eps)
@@ -319,6 +329,19 @@ def test_reinitialize_1d_matches_nearest_crossing():
     np.testing.assert_allclose(
         d.values, np.where(u >= 0, nearest, -nearest), rtol=0, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("dim, resolution", [(1, 200), (2, 65), (3, 20)])
+def test_reinitialize_same_bytes_on_cold_and_warm_slice_cache(dim, resolution):
+    grid = GridSpec(bounds=((-2.0, 2.0),) * dim, resolution=resolution)
+    rng = np.random.default_rng(dim)
+    u = ScalarField(grid, sum(np.sin(rng.uniform(1, 3) * m + rng.uniform(0, 6)) for m in grid.mesh()))
+    _flood_slices.cache_clear()
+    cold = reinitialize(u).values.tobytes()
+    assert _flood_slices.cache_info().currsize > 0
+    warm = reinitialize(u).values.tobytes()
+    assert _flood_slices.cache_info().hits > 0
+    assert warm == cold
 
 
 def test_reinitialize_threads_agree_bytewise():
