@@ -121,13 +121,6 @@ class ScalarField:
     def with_values(self, values: np.ndarray) -> "ScalarField":
         return ScalarField(self.grid, values)
 
-    def _with_finite_values(self, values: np.ndarray) -> "ScalarField":
-        """Like :meth:`with_values`, for a float array of ``grid.shape`` whose
-        values the caller has already shown to be finite; skips the checks."""
-        out = object.__new__(ScalarField)
-        out.grid, out.values = self.grid, values
-        return out
-
 
 def _require_same_grid(a: ScalarField, b: ScalarField):
     if a.grid != b.grid:

@@ -169,10 +169,7 @@ def step(
             f"step of {worst:.3e} exceeds {limit:.3e} (10 cell widths)"
         )
     np.subtract(u.values, change, out=change)
-    if math.isfinite(worst):
-        # no node moved by more than the limit, so the new field is finite
-        return u._with_finite_values(change)
-    return u.with_values(change)  # a nan update: raises
+    return u.with_values(change)
 
 
 def has_sign_change(u: ScalarField) -> bool:

@@ -261,18 +261,6 @@ def test_folded_forms_match_textbook(kind, descent):
         assert_close_to_max(direction, gradient if descent == "derivative" else surrogate)
 
 
-def test_smoothed_step_and_impulse_accept_python_scalars():
-    eps = 0.25
-    assert smoothed_heaviside(0.0, eps) == 0.5
-    assert smoothed_heaviside(eps, eps) == pytest.approx(0.75)
-    assert smoothed_heaviside(-eps, eps) + smoothed_heaviside(eps, eps) == pytest.approx(1.0)
-    assert smoothed_delta(0.0, eps) == pytest.approx(1.0 / (np.pi * eps))
-    assert smoothed_delta(eps, eps) == pytest.approx(0.5 / (np.pi * eps))
-    for fn in (smoothed_heaviside, smoothed_delta):
-        assert np.ndim(fn(1.5, eps)) == 0
-        assert fn(1.5, eps) == fn(np.array([1.5]), eps)[0]
-
-
 @pytest.mark.parametrize("kind", ["f_measure", "accuracy"])
 def test_small_step_against_gradient_lowers_energy(kind):
     pair = toy_pair(512)

@@ -23,6 +23,10 @@ def test_heaviside_partition_exact():
     h = smoothed_heaviside(y, eps=0.3)
     np.testing.assert_array_equal(h + smoothed_heaviside(-y, eps=0.3), np.ones_like(y))
     assert smoothed_heaviside(0.0, eps=0.3) == 0.5
+    # Python scalars in, 0-d results out, equal to the array path
+    assert smoothed_heaviside(0.3, eps=0.3) == pytest.approx(0.75)
+    assert np.ndim(smoothed_heaviside(1.5, eps=0.3)) == 0
+    assert smoothed_heaviside(1.5, eps=0.3) == smoothed_heaviside(np.array([1.5]), eps=0.3)[0]
 
 
 def test_heaviside_limits():
@@ -42,6 +46,11 @@ def test_delta_even_and_unit_mass():
     np.testing.assert_array_equal(smoothed_delta(y, 0.5), smoothed_delta(-y, 0.5))
     yy = np.concatenate([-y[:0:-1], y])
     assert np.trapezoid(smoothed_delta(yy, 0.5), yy) == pytest.approx(1.0, abs=1e-3)
+    # Python scalars in, 0-d results out, equal to the array path
+    assert smoothed_delta(0.0, 0.5) == pytest.approx(1.0 / (np.pi * 0.5))
+    assert smoothed_delta(0.5, 0.5) == pytest.approx(0.5 / (np.pi * 0.5))
+    assert np.ndim(smoothed_delta(1.5, 0.5)) == 0
+    assert smoothed_delta(1.5, 0.5) == smoothed_delta(np.array([1.5]), 0.5)[0]
 
 
 def _counts_from_rates(recall, precision, n_pos, n_neg):
