@@ -348,7 +348,8 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
         if consecutive >= _CONSECUTIVE_FOR_CONVERGENCE:
             status = "converged"
             break
-    u = reinitialize(u)
+    if not records[-1].reinit:  # the last iteration may have redistanced already
+        u = reinitialize(u)
     trace = EvolutionTrace(records, status, restarted, dt, header)
     snapshot = replace(cfg, dt=dt0, lam=lam, eps_h=e.eps)
     model = TrainedClassifier(

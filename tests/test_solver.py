@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from ofc import solver
 from ofc.density import DensityPair
 from ofc.energy import MeasureEnergy
 from ofc.errors import (
@@ -558,6 +559,27 @@ def test_train_integrates_each_field_once(toy, monkeypatch):
     _, trace = train(pair, energy, cfg)
     assert len(trace.records) == 10
     assert len(calls) == 1 + 10  # the starting field, then one per iterate
+
+
+@pytest.mark.parametrize("max_iter, expected", [(100, 2), (120, 3)])
+def test_train_redistances_the_result_once(toy, monkeypatch, max_iter, expected):
+    # the closing redistancing is skipped when the last iteration did it
+    pair, eps = toy
+    energy = MeasureEnergy(pair, eps=eps)
+    dt = auto_time_step(init_shape(pair.grid, RIGHT_BOX), energy, TrainConfig()) / 10
+    calls = []
+    original = solver.reinitialize
+
+    def counted(u):
+        calls.append(u)
+        return original(u)
+
+    monkeypatch.setattr(solver, "reinitialize", counted)
+    cfg = TrainConfig(init=RIGHT_BOX, dt=dt, tol=1e-300, reinit_every=50, max_iter=max_iter)
+    _, trace = train(pair, energy, cfg)
+    assert len(trace.records) == max_iter
+    assert len(calls) == expected
+    assert trace.records[-1].reinit == (max_iter % 50 == 0)
 
 
 def test_train_rejects_tiny_grids():
