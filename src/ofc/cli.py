@@ -207,7 +207,7 @@ def _cmd_train(args) -> int:
     status = f"{trace.status}, degenerate" if model.degenerate else trace.status
     print(
         f"trained on {len(data.labels)} rows: {status} after "
-        f"{len(trace.records)} iterations, energy {trace.records[-1].energy:.6g}",
+        f"{len(trace.records)} iterations, energy {trace.final_energy:.6g}",
         file=sys.stderr,
     )
     if model.degenerate:

@@ -10,11 +10,23 @@ function, and convergence declared when the sup-norm update stays below
 tol for 5 consecutive iterations.
 
 Reinitialization is a closest-point transform.  It locates the zero
-crossings exactly on grid edges and gives each node next to one a foot
-point: the nearest point of the plane through its crossings.  Jump
-flooding then hands every other node the nearest of those feet, and its
-distance is the distance to that foot.  The sign of u is preserved at
-every node, so the classifier is unchanged.
+crossings exactly on grid edges and gives each node next to one (a seed)
+a foot point: the nearest point of the plane through its crossings.
+Every other node then takes the distance to the nearest of those feet,
+found by one of two searches:
+
+- an exhaustive search, which compares each node with every foot through
+  one small matrix product per chunk of nodes and is exact; its cost grows
+  with nodes x seeds;
+- jump flooding, which offers each node the feet of its neighbours at
+  halving strides; it costs O(N log N) for N nodes, but can settle up to a
+  fifth of a cell farther than the nearest foot.
+
+The exhaustive search runs up to ``_EXACT_MAX_PAIRS`` (nodes x seeds):
+there it is exact and also faster, because the flood's many small numpy
+passes cost more than the product.  Above it the flood runs, whose cost
+does not grow with the seeds.  The sign of u is preserved at every node,
+so the classifier is unchanged.
 """
 from __future__ import annotations
 
@@ -44,6 +56,23 @@ from .metrics import check_beta
 _CONSECUTIVE_FOR_CONVERGENCE = 5
 _MAX_DT_HALVINGS = 80
 _MIN_CELLS_PER_AXIS = 4
+# reinitialize searches all (nodes x seeds) pairs up to this many and jump
+# floods above.  Median ms of one call on 2 cores, search and flood:
+#   2-D  65^2, fit2d fields,    1-4M pairs:    2.0-4.4    5.7-6.6
+#   2-D  33^2, cv fields,       0.2M pairs:    0.5-1.2    1.6-6.0
+#   2-D 129^2, sine fields,    19.6M pairs:   15         24
+#                              42.6M pairs:   34         22
+#   3-D  25^3, sine fields,    40.1M pairs:   32         43
+#                              91.7M pairs:   47         38
+#   3-D  33^3, sine fields,     160M pairs:  122        152
+#                               368M pairs:  234        119
+#   3-D  33^3, fit3d fields, 25-42M pairs:   28-38     109-124
+# The break-even count grows with the grid, since the flood's cost per node
+# grows with log N and the search's with the seeds alone; a constant at the
+# smallest break-even measured keeps the search off the grids where it loses.
+_EXACT_MAX_PAIRS = 1 << 24
+# elements of the (nodes x feet) product formed at a time
+_EXACT_CHUNK = 1 << 16
 
 
 def default_resolution(dim: int) -> int:
@@ -108,6 +137,7 @@ class EvolutionTrace:
     status: str  # "converged" | "max-iter"
     restarted: bool
     final_dt: float
+    final_energy: float  # of the returned field, after its last redistancing
     header: dict
 
     def to_csv(self) -> str:
@@ -115,6 +145,7 @@ class EvolutionTrace:
         lines.append(f"# status={self.status}")
         lines.append(f"# restarted={int(self.restarted)}")
         lines.append(f"# final_dt={self.final_dt!r}")
+        lines.append(f"# final_energy={self.final_energy!r}")
         lines.append("iteration,energy,max_update,reinit")
         for r in self.records:
             lines.append(f"{r.iteration},{r.energy!r},{r.max_update!r},{int(r.reinit)}")
@@ -239,6 +270,24 @@ def _flood_pass(foot, d2, coords, free, step: int) -> bool:
     return changed
 
 
+def _nearest_feet(points: np.ndarray, feet: np.ndarray) -> np.ndarray:
+    """Index into ``feet`` (S, d) of the nearest foot of each of ``points`` (N, d).
+
+    |x - f|^2 = |x|^2 + (-2f . x + |f|^2), and |x|^2 is the same along a row,
+    so the row minima of [x, 1] @ [-2f, |f|^2] are the nearest feet.  Rounding
+    in that product can only swap feet whose distances agree to about
+    eps * |x|^2, so callers centre both sets on the grid and measure the
+    distance to the chosen foot directly.
+    """
+    rows = np.hstack([points, np.ones((len(points), 1))])
+    cols = np.vstack([-2.0 * feet.T, np.einsum("ij,ij->i", feet, feet)])
+    out = np.empty(len(points), dtype=np.intp)
+    chunk = max(1, _EXACT_CHUNK // len(feet))
+    for i in range(0, len(points), chunk):
+        np.argmin(rows[i:i + chunk] @ cols, axis=1, out=out[i:i + chunk])
+    return out
+
+
 def reinitialize(u: ScalarField) -> ScalarField:
     """Rebuild u as the signed distance to its own zero level set.
 
@@ -258,15 +307,23 @@ def reinitialize(u: ScalarField) -> ScalarField:
         foot = np.where(np.isinf(inv), coords, coords + recip / inv)
     seed = inv > 0
     free = ~seed
-    foot[:, free] = np.inf
-    d2 = np.where(seed, plane * plane, np.inf)
-    step = 1 << max(0, (max(d2.shape) - 1).bit_length() - 1)
-    while step > 1:
-        _flood_pass(foot, d2, coords, free, step)
-        step //= 2
-    while _flood_pass(foot, d2, coords, free, 1):
-        pass
-    dist = np.where(seed, plane, np.sqrt(d2))
+    if u.values.size * np.count_nonzero(seed) <= _EXACT_MAX_PAIRS:
+        centre = 0.5 * (u.grid.mins + u.grid.maxs)
+        points = coords[:, free].T - centre
+        feet = foot[:, seed].T - centre
+        gap = points - feet[_nearest_feet(points, feet)]
+        dist = plane  # inf on the free nodes until they are filled in
+        dist[free] = np.sqrt(np.einsum("ij,ij->i", gap, gap))
+    else:
+        foot[:, free] = np.inf
+        d2 = np.where(seed, plane * plane, np.inf)
+        step = 1 << max(0, (max(d2.shape) - 1).bit_length() - 1)
+        while step > 1:
+            _flood_pass(foot, d2, coords, free, step)
+            step //= 2
+        while _flood_pass(foot, d2, coords, free, 1):
+            pass
+        dist = np.where(seed, plane, np.sqrt(d2))
     return u.with_values(np.where(u.values >= 0, dist, -dist))
 
 
@@ -348,9 +405,11 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
         if consecutive >= _CONSECUTIVE_FOR_CONVERGENCE:
             status = "converged"
             break
+    final_energy = records[-1].energy
     if not records[-1].reinit:  # the last iteration may have redistanced already
         u = reinitialize(u)
-    trace = EvolutionTrace(records, status, restarted, dt, header)
+        final_energy = e.evaluate(u)
+    trace = EvolutionTrace(records, status, restarted, dt, final_energy, header)
     snapshot = replace(cfg, dt=dt0, lam=lam, eps_h=e.eps)
     model = TrainedClassifier(
         u=u,

@@ -1,4 +1,7 @@
 """Training loop: stepping, reinitialization, convergence, restarts, traces."""
+import hashlib
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -332,11 +335,18 @@ def test_reinitialize_1d_matches_nearest_crossing():
     )
 
 
-@pytest.mark.parametrize("dim, resolution", [(1, 200), (2, 65), (3, 20)])
-def test_reinitialize_same_bytes_on_cold_and_warm_slice_cache(dim, resolution):
+# each input has enough nodes x seeds to take the jump flood
+@pytest.mark.parametrize("dim, resolution, wavenumber", [
+    pytest.param(1, 20000, 400, id="1-20000"),
+    pytest.param(2, 128, 4, id="2-128"),
+    pytest.param(3, 20, 1, id="3-20"),
+])
+def test_reinitialize_same_bytes_on_cold_and_warm_slice_cache(dim, resolution, wavenumber):
     grid = GridSpec(bounds=((-2.0, 2.0),) * dim, resolution=resolution)
     rng = np.random.default_rng(dim)
-    u = ScalarField(grid, sum(np.sin(rng.uniform(1, 3) * m + rng.uniform(0, 6)) for m in grid.mesh()))
+    u = ScalarField(grid, sum(
+        np.sin(wavenumber * rng.uniform(1, 3) * m + rng.uniform(0, 6)) for m in grid.mesh()
+    ))
     _flood_slices.cache_clear()
     cold = reinitialize(u).values.tobytes()
     assert _flood_slices.cache_info().currsize > 0
@@ -346,19 +356,110 @@ def test_reinitialize_same_bytes_on_cold_and_warm_slice_cache(dim, resolution):
 
 
 def test_reinitialize_threads_agree_bytewise():
-    grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=65)
-    u = random_bump_field(grid, np.random.default_rng(1))
-    expected = reinitialize(u).values.tobytes()
+    small = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=65)
+    large = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=128)
+    mesh = large.mesh()
+    fields = (
+        random_bump_field(small, np.random.default_rng(1)),  # exhaustive search
+        ScalarField(large, np.sin(4.0 * mesh[0]) + np.cos(3.0 * mesh[1])),  # jump flood
+    )
+    expected = [reinitialize(u).values.tobytes() for u in fields]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(
-                pool.map(lambda _: reinitialize(u).values.tobytes(), range(8), timeout=60)
-            )
+            got = list(pool.map(
+                lambda i: reinitialize(fields[i % 2]).values.tobytes(), range(16), timeout=60
+            ))
     finally:
         sys.setswitchinterval(interval)
-    assert got == [expected] * 8
+    assert got == expected * 8
+
+
+def all_pairs_redistance(u):
+    """Signed distance from each node to the nearest seed foot, by a loop
+    over the nodes that measures every foot: the reference for the search."""
+    coords = np.stack(u.grid.mesh()).reshape(u.grid.dim, -1).T
+    offsets = solver._axis_crossing_offsets(u.values, u.grid.spacing)
+    feet, plane = [], {}
+    for i, x in enumerate(coords):
+        off = np.array([o.flat[i] for o in offsets])
+        if np.isinf(off).all():
+            continue
+        if (off == 0).any():  # u is zero at the node
+            feet.append(x)
+            plane[i] = 0.0
+            continue
+        recip = 1.0 / off
+        inv = float(recip @ recip)
+        feet.append(x + recip / inv)
+        plane[i] = 1.0 / np.sqrt(inv)
+    feet = np.array(feet)
+    dist = np.array([
+        plane[i] if i in plane else np.sqrt(((feet - x) ** 2).sum(axis=1)).min()
+        for i, x in enumerate(coords)
+    ]).reshape(u.values.shape)
+    return np.where(u.values >= 0, dist, -dist)
+
+
+# the grid far from the origin checks that rounding in the product stays
+# at the scale of the grid, not of its coordinates
+@pytest.mark.parametrize("dim, resolution, centre", [
+    (1, 200, 0.0), (2, 40, 0.0), (3, 12, 0.0), (2, 40, 1e6),
+])
+def test_reinitialize_search_matches_all_pairs_reference(dim, resolution, centre):
+    grid = GridSpec(bounds=((centre - 2.0, centre + 2.0),) * dim, resolution=resolution)
+    rng = np.random.default_rng(dim)
+    u = ScalarField(grid, sum(np.sin(rng.uniform(1, 3) * m + rng.uniform(0, 6)) for m in grid.mesh()))
+    got = reinitialize(u).values
+    np.testing.assert_allclose(got, all_pairs_redistance(u), rtol=0, atol=1e-12 * max(grid.spacing))
+
+
+def test_reinitialize_search_never_farther_than_flood(monkeypatch):
+    grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=65)
+    rng = np.random.default_rng(0)
+    fields = [random_bump_field(grid, rng) for _ in range(3)]
+    searched = [np.abs(reinitialize(u).values) for u in fields]
+    monkeypatch.setattr(solver, "_EXACT_MAX_PAIRS", 0)
+    flooded = [np.abs(reinitialize(u).values) for u in fields]
+    for s, f in zip(searched, flooded):
+        assert np.all(s <= f + 1e-12 * max(grid.spacing))
+        assert np.any(s < f)
+
+
+def test_reinitialize_floods_only_large_grids(monkeypatch):
+    calls = []
+    original = solver._flood_pass
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_flood_pass", counted)
+    grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=65)
+    reinitialize(random_bump_field(grid, np.random.default_rng(0)))
+    assert calls == []
+    ball_distance_error(3, 1.5, 32)
+    assert len(calls) > 0
+
+
+def test_reinitialize_same_bytes_with_one_blas_thread(tmp_path):
+    grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=65)
+    u = random_bump_field(grid, np.random.default_rng(2))
+    np.save(tmp_path / "u.npy", u.values)
+    code = (
+        "import hashlib, sys, numpy as np\n"
+        "from ofc.field import GridSpec, ScalarField\n"
+        "from ofc.solver import reinitialize\n"
+        "grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=65)\n"
+        "u = ScalarField(grid, np.load(sys.argv[1]))\n"
+        "print(hashlib.sha256(reinitialize(u).values.tobytes()).hexdigest())\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "u.npy")], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == hashlib.sha256(reinitialize(u).values.tobytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +659,9 @@ def test_train_integrates_each_field_once(toy, monkeypatch):
     cfg = TrainConfig(init=RIGHT_BOX, dt=dt, reinit_every=4, max_iter=10)
     _, trace = train(pair, energy, cfg)
     assert len(trace.records) == 10
-    assert len(calls) == 1 + 10  # the starting field, then one per iterate
+    # the starting field, one per iterate, and the result, redistanced after
+    # iteration 10 for its final energy
+    assert len(calls) == 1 + 10 + 1
 
 
 @pytest.mark.parametrize("max_iter, expected", [(100, 2), (120, 3)])
@@ -576,10 +679,11 @@ def test_train_redistances_the_result_once(toy, monkeypatch, max_iter, expected)
 
     monkeypatch.setattr(solver, "reinitialize", counted)
     cfg = TrainConfig(init=RIGHT_BOX, dt=dt, tol=1e-300, reinit_every=50, max_iter=max_iter)
-    _, trace = train(pair, energy, cfg)
+    model, trace = train(pair, energy, cfg)
     assert len(trace.records) == max_iter
     assert len(calls) == expected
     assert trace.records[-1].reinit == (max_iter % 50 == 0)
+    assert trace.final_energy == energy.evaluate(model.u)
 
 
 def test_train_rejects_tiny_grids():
@@ -599,7 +703,7 @@ def test_trace_csv_layout(toy):
     header = [l for l in lines if l.startswith("# ")]
     for key in ("beta=", "measure=", "descent=", "dt=", "lambda=", "eps_h=",
                 "tol=", "reinit_every=", "max_iter=", "seed=", "status=",
-                "restarted=", "final_dt="):
+                "restarted=", "final_dt=", "final_energy="):
         assert any(key in h for h in header), key
     rows = lines[len(header):]
     assert rows[0] == "iteration,energy,max_update,reinit"
