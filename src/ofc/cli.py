@@ -10,7 +10,8 @@ sweep-beta  like eval, but emit mean F_beta per beta (one classifier column)
 frontier    export a model's decision frontier as CSV
 field       export a model's decision field as an ASCII PGM heatmap
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error (running out of memory included),
+2 data error, 3 numerical failure.
 A flag or config key left out keeps the library's own default.
 Every command that consumes randomness takes ``--seed``; two runs with the
 same arguments and seed write byte-identical files.
@@ -207,7 +208,10 @@ def _cmd_train(args) -> int:
     status = f"{trace.status}, degenerate" if model.degenerate else trace.status
     print(
         f"trained on {len(data.labels)} rows: {status} after "
-        f"{len(trace.records)} iterations, energy {trace.final_energy:.6g}",
+        f"{len(trace.records)} iterations, energy {trace.final_energy:.6g}; "
+        f"dt halvings {trace.dt_halvings}, stationarity residual "
+        f"{trace.stationarity_residual:.3g}, energy ascent "
+        f"{'yes' if trace.energy_ascent else 'no'}",
         file=sys.stderr,
     )
     if model.degenerate:
@@ -377,6 +381,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"ofc: usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # e.g. a --resolution whose grid does not fit
+        print(f"ofc: usage error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
         log.removeHandler(handler)

@@ -25,6 +25,7 @@ trapezoidal quadrature, which keeps downstream count identities exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ from .field import GridSpec, ScalarField, integrate
 
 _REACH = 8.0  # bandwidths past the grid that the bin lattice extends
 _MIN_BW_CELLS = 0.25  # narrowest kernel, in cells of its axis
+_MAX_BANDWIDTH = math.sqrt(np.finfo(float).max)  # widest whose square is finite
 
 
 @dataclass
@@ -48,9 +50,11 @@ class KdeModel:
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
         bw = np.asarray(self.bandwidth, dtype=float)
         self.bandwidth = np.broadcast_to(bw, (self.dim,)).copy()
-        if (self.bandwidth <= 0).any() or not np.isfinite(self.bandwidth).all():
+        # the lattice takes bw**2, so the square must be finite as well
+        if not ((self.bandwidth > 0) & (self.bandwidth <= _MAX_BANDWIDTH)).all():
             raise DegenerateDataError(
-                f"bandwidth must be positive and finite, got {self.bandwidth}"
+                f"bandwidth must be positive and finite, with a finite square; "
+                f"got {self.bandwidth}"
             )
 
     @property

@@ -33,7 +33,8 @@ quadrature-weighted densities, whose masses are W+/-:
 
 The descent directions divide one numerator, a combination of f+ and f-
 with every scalar factor (eps/pi, 1/A, ...) folded into its two
-coefficients, by eps**2 + u**2.
+coefficients, by eps**2 + u**2.  The numerator is one product of those
+two coefficients with the densities stacked as a (2, nodes) matrix.
 """
 from __future__ import annotations
 
@@ -88,6 +89,8 @@ class MeasureEnergy:
         weighted = np.stack([fp * w, fn * w]).reshape(2, -1)
         object.__setattr__(self, "_weighted", weighted)
         object.__setattr__(self, "_half_mass", (0.5 * weighted.sum(axis=1)).tolist())
+        # (f-, f+) rows: a flow's numerator is one product with its coefficients
+        object.__setattr__(self, "_densities", np.stack([fn, fp]).reshape(2, -1))
         if self.kind == "accuracy":
             # the accuracy flow's numerator does not depend on u
             num = (self.eps / math.pi) * (self.pair.n_count * fn - self.pair.p_count * fp)
@@ -119,11 +122,9 @@ class MeasureEnergy:
         With ``scale = c * eps / pi`` this is ``c * smoothed_delta(u) *
         (f- - ratio * f+)``.
         """
-        num = self.pair.f_pos.values * ratio
-        np.subtract(self.pair.f_neg.values, num, out=num)
-        num *= scale
-        num /= self._impulse_denominator(u)
-        return u.with_values(num)
+        num = np.array([scale, -scale * ratio]) @ self._densities
+        num /= self._impulse_denominator(u).ravel()
+        return u.with_values(num.reshape(u.grid.shape))
 
     def evaluate(self, u: ScalarField, return_fractions: bool = False):
         """Energy at u; with ``return_fractions``, (energy, (A, B, C)).
@@ -170,13 +171,13 @@ class MeasureEnergy:
         b2 = self.beta**2
         return self._flow(u, b2 + (c + b2 * b) / a, self.eps * a / math.pi)
 
-    def stationarity_residual(self, u: ScalarField) -> float:
+    def stationarity_residual(self, u: ScalarField, fractions: tuple = None) -> float:
         """Largest gradient magnitude on the active band around the zero set.
 
         The band is where the smoothed impulse exceeds 1e-3 of its current
         maximum; outside it the flow cannot move u regardless of the
-        densities.
+        densities.  ``fractions`` are u's (A, B, C) when already known.
         """
         delta = smoothed_delta(u.values, self.eps)
         band = delta > _BAND_FRACTION * delta.max()
-        return float(np.abs(self.gradient(u).values[band]).max())
+        return float(np.abs(self.gradient(u, fractions).values[band]).max())

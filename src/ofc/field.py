@@ -7,13 +7,27 @@ serialization formats.
 
 The Laplacian runs on every training step, on grids small enough that
 each whole-array numpy call costs about as much as the arithmetic in it.
-It is therefore written as few passes: the centre term, then per axis one
-sum of the two neighbour slices and one correction of the two end rows,
-with the weights and index tuples cached per grid shape and spacing.
+It takes one of two paths, chosen by the grid shape alone:
+
+- on small grids (every axis at most 65 nodes, at most 2**14 nodes in
+  all), one BLAS product per axis with a cached (n x n) second-difference
+  matrix whose end rows hold the mirrored ghost node.  The product does
+  n times the arithmetic of a stencil, but it is one call per axis, and at
+  these sizes the calls cost more than the arithmetic;
+- on larger grids, a sliced stencil: the centre term, then per axis one
+  sum of the two neighbour slices and one correction of the two end rows,
+  with the weights and index tuples cached per grid shape and spacing.
+  Its cost grows with the nodes alone, so it wins once an axis is long.
+
+Every field's values are checked to be finite.  The check first takes the
+dot product of the values with themselves, one BLAS call: a finite result
+proves every value finite.  Only a non-finite one, from a non-finite value
+or from squares that overflow, makes it test each value.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -114,7 +128,9 @@ class ScalarField:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.grid.shape:
             raise ValueError(f"values shape {vals.shape} != grid nodes {self.grid.shape}")
-        if not np.isfinite(vals).all():
+        # vdot, unlike a ufunc reduction, raises no floating-point warning
+        # when it overflows
+        if not math.isfinite(np.vdot(vals, vals)) and not np.isfinite(vals).all():
             raise ValueError("field values must be finite")
         self.values = vals
 
@@ -185,13 +201,29 @@ def laplacian(f: ScalarField) -> ScalarField:
     Each node gets ``-2 * sum(h**-2) * v`` plus, per axis, ``h**-2`` times
     the sum of its two neighbours along that axis.  A mirrored ghost node
     equals the end node's inner neighbour, so the end rows count that
-    neighbour twice.
+    neighbour twice.  Small grids take one matrix product per axis, larger
+    ones the sliced stencil (see the module docstring).
     """
     grid = f.grid
     if min(grid.shape) < 3:
         raise ValueError("laplacian needs at least 3 nodes per axis")
     v = f.values
-    centre, axes = _laplacian_stencil(grid.shape, grid.spacing)
+    shape = grid.shape
+    if max(shape) <= _MATRIX_MAX_AXIS and v.size <= _MATRIX_MAX_NODES:
+        mats = _laplacian_matrices(shape, grid.spacing)
+        # axis 0 multiplies the (n0, rest) view from the left, the last axis
+        # the (rest, n) view from the right, and a middle axis every (n, trail)
+        # block of the (lead, n, trail) view
+        out = (mats[0] @ v.reshape(shape[0], -1)).reshape(shape)
+        for ax in range(1, len(shape) - 1):
+            lead = math.prod(shape[:ax])
+            part = np.matmul(mats[ax], v.reshape(lead, shape[ax], -1))
+            out += part.reshape(shape)
+        if len(shape) > 1:
+            part = v.reshape(-1, shape[-1]) @ mats[-1].T
+            out += part.reshape(shape)
+        return ScalarField(grid, out)
+    centre, axes = _laplacian_stencil(shape, grid.spacing)
     out = v * centre
     for c, mid, up, down, c2, ends, inner in axes:
         s = v[up] + v[down]
@@ -201,6 +233,39 @@ def laplacian(f: ScalarField) -> ScalarField:
         rows = out[ends]
         rows += c2 * v[inner]
     return ScalarField(grid, out)
+
+
+# laplacian multiplies by per-axis matrices up to these sizes and runs the
+# sliced stencil above them.  Median us of one call including its ScalarField,
+# 15 interleaved repeats on 2 cores (numpy 2.4 on OpenBLAS 0.3.31), sliced
+# and matrix:
+#   2-D  33^2:  33.5  19.1        3-D 21^3:  152   77
+#   2-D  65^2:  51.0  49.4        3-D 25^3:  199  141
+#   2-D  97^2:  83   122          3-D 33^3:  416  537
+#   2-D 129^2: 116   261          1-D  65:   11.1  8.2
+#                                 1-D 513:   13.2 92.5
+# The product's work per node grows with the axis length and the stencil's
+# does not, so the axis bound falls between 65 and 97 nodes and the node
+# bound between 25^3 and 33^3.
+_MATRIX_MAX_AXIS = 65
+_MATRIX_MAX_NODES = 1 << 14
+
+
+@functools.lru_cache(maxsize=64)
+def _laplacian_matrices(shape: tuple, spacing: tuple) -> tuple:
+    """Per axis, the read-only (n x n) matrix of ``h**-2 * (v[i-1] - 2 v[i] + v[i+1])``.
+
+    Its end rows count the inner neighbour twice, as the mirrored ghost
+    node equals it.
+    """
+    mats = []
+    for n, h in zip(shape, spacing):
+        c = 1.0 / (h * h)
+        m = c * (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1))
+        m[0, 1] = m[-1, -2] = 2.0 * c
+        m.flags.writeable = False
+        mats.append(m)
+    return tuple(mats)
 
 
 @functools.lru_cache(maxsize=64)

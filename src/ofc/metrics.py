@@ -77,9 +77,15 @@ class MetricsReport:
 
 
 def check_beta(beta: float) -> None:
-    """Raise ValueError unless the F-beta weight is positive and finite."""
-    if not (np.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    """Raise ValueError unless the F-beta weight is positive and finite.
+
+    The energy uses beta**2, so a beta whose square overflows is refused too.
+    """
+    beta = float(beta)
+    if not (beta > 0 and np.isfinite(beta * beta)):
+        raise ValueError(
+            f"beta must be positive and finite, with a finite square; got {beta}"
+        )
 
 
 def metrics_from_counts(counts: ConfusionCounts, beta: float = 1.0) -> MetricsReport:

@@ -54,6 +54,9 @@ from .field import (
 from .metrics import check_beta
 
 _CONSECUTIVE_FOR_CONVERGENCE = 5
+# the trace flags an energy ascent when the returned field's energy is above
+# the lowest recorded one by more than this fraction of it
+_ASCENT_MARGIN = 1e-3
 _MAX_DT_HALVINGS = 80
 _MIN_CELLS_PER_AXIS = 4
 # reinitialize searches all (nodes x seeds) pairs up to this many and jump
@@ -111,6 +114,9 @@ class TrainConfig:
                 if name == "lam" and v == 0.0:
                     continue  # lambda may be switched off entirely
                 raise ValueError(f"{name} must be positive, got {v}")
+        if self.eps_h is not None and not math.isfinite(self.eps_h * self.eps_h):
+            # the impulse's denominator is eps_h**2 + u**2
+            raise ValueError(f"eps_h must have a finite square, got {self.eps_h}")
         for name in ("reinit_every", "max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -131,13 +137,22 @@ class TraceRecord(NamedTuple):
 
 @dataclass
 class EvolutionTrace:
-    """Per-iteration history of one training run plus resolved settings."""
+    """Per-iteration history of one training run plus resolved settings.
+
+    The diagnostics describe the returned field and the whole run: its
+    energy, its largest gradient on the band around its zero set, how
+    often the step guard halved dt, and whether the energy ended above
+    the run's lowest recorded energy.
+    """
 
     records: list[TraceRecord]
     status: str  # "converged" | "max-iter"
     restarted: bool
     final_dt: float
     final_energy: float  # of the returned field, after its last redistancing
+    dt_halvings: int
+    stationarity_residual: float  # MeasureEnergy.stationarity_residual of the result
+    energy_ascent: bool  # final_energy above the lowest record's by > _ASCENT_MARGIN
     header: dict
 
     def to_csv(self) -> str:
@@ -146,6 +161,9 @@ class EvolutionTrace:
         lines.append(f"# restarted={int(self.restarted)}")
         lines.append(f"# final_dt={self.final_dt!r}")
         lines.append(f"# final_energy={self.final_energy!r}")
+        lines.append(f"# dt_halvings={self.dt_halvings}")
+        lines.append(f"# stationarity_residual={self.stationarity_residual!r}")
+        lines.append(f"# energy_ascent={int(self.energy_ascent)}")
         lines.append("iteration,energy,max_update,reinit")
         for r in self.records:
             lines.append(f"{r.iteration},{r.energy!r},{r.max_update!r},{int(r.reinit)}")
@@ -372,6 +390,7 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
     records: list[TraceRecord] = []
     status = "max-iter"
     consecutive = 0
+    dt_halvings = 0
     it = 0
     fractions = None  # (A, B, C) of u once its evaluate has run
     while it < cfg.max_iter:
@@ -387,6 +406,7 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
                     if halvings > _MAX_DT_HALVINGS:
                         raise
                     dt *= 0.5
+                    dt_halvings += 1
             max_update = float(np.abs(u_new.values - u.values).max())
             did_reinit = it % cfg.reinit_every == 0
             u = reinitialize(u_new) if did_reinit else u_new
@@ -408,8 +428,15 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
     final_energy = records[-1].energy
     if not records[-1].reinit:  # the last iteration may have redistanced already
         u = reinitialize(u)
-        final_energy = e.evaluate(u)
-    trace = EvolutionTrace(records, status, restarted, dt, final_energy, header)
+        final_energy, fractions = e.evaluate(u, return_fractions=True)
+    lowest = min(r.energy for r in records)
+    trace = EvolutionTrace(
+        records, status, restarted, dt, final_energy,
+        dt_halvings=dt_halvings,
+        stationarity_residual=e.stationarity_residual(u, fractions),
+        energy_ascent=final_energy - lowest > _ASCENT_MARGIN * abs(lowest),
+        header=header,
+    )
     snapshot = replace(cfg, dt=dt0, lam=lam, eps_h=e.eps)
     model = TrainedClassifier(
         u=u,

@@ -143,11 +143,34 @@ def test_train_missing_file_is_data_error(tmp_path):
 
 
 def test_train_invalid_flag_value_is_usage_error(tmp_path, separable_csv, capsys):
-    for beta in ("-1.0", "nan", "inf"):
+    for beta in ("-1.0", "nan", "inf", "1e200"):
         assert run("train", "--data", separable_csv, "--out", tmp_path / "m.txt",
                    "--beta", beta) == 1
         assert "beta must be positive and finite" in capsys.readouterr().err
+    # squares that overflow: eps_h**2 in the energy, bandwidth**2 in the KDE
+    assert run("train", "--data", separable_csv, "--out", tmp_path / "m.txt",
+               "--eps-h", "1e200") == 1
+    assert "eps_h must have a finite square" in capsys.readouterr().err
+    assert run("train", "--data", separable_csv, "--out", tmp_path / "m.txt",
+               "--bandwidth", "1e200") == 2
+    assert "bandwidth must be positive and finite, with a finite square" in (
+        capsys.readouterr().err)
     assert not (tmp_path / "m.txt").exists()
+
+
+def test_train_out_of_memory_is_usage_error(tmp_path, separable_csv, monkeypatch,
+                                            capsys):
+    import ofc.cli
+
+    def oversized_fit(data, cfg, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(ofc.cli, "fit", oversized_fit)
+    assert run("train", "--data", separable_csv, "--out", tmp_path / "m.txt",
+               "--resolution", 100000) == 1
+    err = capsys.readouterr().err
+    assert "usage error: out of memory: Unable to allocate 74.5 GiB" in err
+    assert "Traceback" not in err
 
 
 def test_train_without_flags_uses_library_defaults(tmp_path, separable_csv, monkeypatch):
@@ -185,6 +208,20 @@ def test_degenerate_training_run_exits_numerical(tmp_path, separable_csv,
     assert "numerical failure" in err and "never changes sign" in err
     assert load(model).degenerate  # model and trace are still written
     assert trace.read_text().startswith("# ")
+
+
+def test_train_prints_the_run_diagnostics(tmp_path, separable_csv, capsys):
+    trace = tmp_path / "t.csv"
+    assert run("train", "--data", separable_csv, "--out", tmp_path / "m.txt",
+               "--trace", trace, "--resolution", 16, "--max-iter", 5, "--dt", 1e6) == 0
+    err = capsys.readouterr().err
+    header = dict(line[2:].split("=", 1) for line in trace.read_text().splitlines()
+                  if line.startswith("# "))
+    assert int(header["dt_halvings"]) > 0
+    assert f"dt halvings {header['dt_halvings']}," in err
+    residual = float(header["stationarity_residual"])
+    assert f"stationarity residual {residual:.3g}," in err
+    assert "energy ascent " + ("yes" if header["energy_ascent"] == "1" else "no") in err
 
 
 def test_frontier_of_degenerate_model_is_numerical_error(tmp_path):

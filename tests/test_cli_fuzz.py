@@ -26,7 +26,7 @@ WORDS = st.text(
     max_size=8,
 )
 TOKENS = st.sampled_from(
-    ["nan", "inf", "-inf", "1e400", "-1", "0", "0.0", "1", "2", "3", "1.5",
+    ["nan", "inf", "-inf", "1e400", "1e200", "-1", "0", "0.0", "1", "2", "3", "1.5",
      "x", ",", "1,,2", "1,nan", "ofc,zz", "G", "accuracy", "derivative"]
 )
 INT_KEYS = ("subsample", "label_column", "data_seed", "repetitions", "folds",

@@ -61,7 +61,7 @@ class TestFitKde:
             fit_kde(samples, 0.0)
         with pytest.raises(DegenerateDataError):
             fit_kde(samples, -1.0)
-        for bad in (0.0, -1.0, float("nan"), float("inf")):
+        for bad in (0.0, -1.0, float("nan"), float("inf"), 1e200):
             with pytest.raises(DegenerateDataError):
                 KdeModel(samples, bad)
 

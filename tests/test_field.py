@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from ofc import field as field_module
 from ofc.errors import (
     GridMismatchError,
     InvalidShapeError,
@@ -66,6 +67,15 @@ class TestGridSpec:
             ScalarField(g, np.zeros(4))
         with pytest.raises(ValueError):
             ScalarField(g, np.full(5, np.nan))
+
+    def test_field_values_checked_finite(self):
+        g = GridSpec(((0.0, 1.0),), (1,))
+        # the fast check's reduction overflows; every value is still finite
+        ScalarField(g, np.array([1e308, 1e308]))
+        ScalarField(g, np.array([-1e308, 1e200]))
+        for bad in ([np.inf, -np.inf], [np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0]):
+            with pytest.raises(ValueError, match="field values must be finite"):
+                ScalarField(g, np.array(bad))
 
 
 class TestIntegrate:
@@ -185,6 +195,14 @@ class TestStencils:
             (((0.0, 0.5), (-1.0, 2.0), (0.0, 7.0)), (5, 6, 9)),
             (((0.0, 1.0), (-2.0, 3.0)), (2, 3)),
             (((0.0, 0.5), (-1.0, 2.0), (0.0, 7.0)), (3, 2, 4)),
+            # on both sides of the size rule: matrix products, then stencil
+            (((0.0, 1.0),), (64,)),
+            (((0.0, 1.0),), (128,)),
+            (((0.0, 1.0), (-2.0, 3.0)), (32, 32)),
+            (((0.0, 1.0), (-2.0, 3.0)), (96, 96)),
+            (((0.0, 0.5), (-1.0, 2.0), (0.0, 7.0)), (20, 20, 20)),
+            (((0.0, 0.5), (-1.0, 2.0), (0.0, 7.0)), (32, 32, 32)),
+            (((0.0, 1.0), (-2.0, 3.0)), (2, 128)),
         ],
     )
     def test_laplacian_matches_reflect_padded_stencil(self, bounds, res):
@@ -199,6 +217,33 @@ class TestStencils:
             ref += (lo - 2.0 * v + hi) / h**2
         lap = laplacian(ScalarField(g, v)).values
         np.testing.assert_allclose(lap, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize(
+        "res, matrix",
+        [((64,), True), ((65,), False), ((64, 64), True), ((64, 65), False),
+         ((96, 96), False), ((20, 20, 20), True), ((24, 24, 24), True),
+         ((32, 32, 32), False), ((2, 128), False)],
+    )
+    def test_laplacian_path_depends_on_shape(self, monkeypatch, res, matrix):
+        built = []
+        original = field_module._laplacian_matrices
+
+        def recorded(shape, spacing):
+            built.append(shape)
+            return original(shape, spacing)
+
+        monkeypatch.setattr(field_module, "_laplacian_matrices", recorded)
+        g = GridSpec(tuple((0.0, 1.0) for _ in res), res)
+        laplacian(ScalarField(g, np.zeros(g.shape)))
+        assert built == ([g.shape] if matrix else [])
+
+    def test_laplacian_matrices_are_read_only(self):
+        g = GridSpec(((0.0, 1.0), (0.0, 2.0)), (8, 4))
+        laplacian(ScalarField(g, np.zeros(g.shape)))
+        mats = field_module._laplacian_matrices(g.shape, g.spacing)
+        assert [m.shape for m in mats] == [(9, 9), (5, 5)]
+        with pytest.raises(ValueError):
+            mats[0][0, 0] = 1.0
 
     def test_gradient_magnitude_affine(self):
         g = GridSpec(((0.0, 1.0), (0.0, 1.0)), (8, 8))

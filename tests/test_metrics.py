@@ -118,7 +118,7 @@ def test_negative_count_rejected():
 
 
 def test_bad_beta_rejected():
-    for beta in (0.0, float("nan"), float("inf")):
+    for beta in (0.0, float("nan"), float("inf"), 1e200):
         with pytest.raises(ValueError):
             metrics_from_counts(ConfusionCounts(1.0, 1.0, 1.0, 1.0), beta=beta)
 

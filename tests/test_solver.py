@@ -125,10 +125,12 @@ def test_config_validation():
         dict(beta=0.0),
         dict(beta=float("nan")),
         dict(beta=float("inf")),
+        dict(beta=1e200),
         dict(dt=-1.0),
         dict(dt=float("nan")),
         dict(lam=-0.1),
         dict(eps_h=0.0),
+        dict(eps_h=1e200),
         dict(tol=0.0),
         dict(reinit_every=0),
         dict(max_iter=0),
@@ -443,23 +445,37 @@ def test_reinitialize_floods_only_large_grids(monkeypatch):
     assert len(calls) > 0
 
 
-def test_reinitialize_same_bytes_with_one_blas_thread(tmp_path):
+def _blas_products_digests(u_path) -> list:
+    """Hashes of a redistanced field and of whole fits at 33^2 and 65^2 nodes,
+    each of which runs matrix products on every step."""
+    from ofc.classifier import fit
+    from ofc.data import gen_db
+
+    grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=65)
+    arrays = [reinitialize(ScalarField(grid, np.load(u_path))).values]
+    data = gen_db(4, seed=0)
+    for resolution, max_iter in ((32, 200), (64, 400)):
+        model, _ = fit(data, TrainConfig(resolution=resolution, max_iter=max_iter))
+        arrays.append(model.u.values)
+    return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+
+
+def test_reinitialize_and_fit_same_bytes_with_one_blas_thread(tmp_path):
     grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=65)
     u = random_bump_field(grid, np.random.default_rng(2))
     np.save(tmp_path / "u.npy", u.values)
+    tests = os.path.dirname(os.path.abspath(__file__))
     code = (
-        "import hashlib, sys, numpy as np\n"
-        "from ofc.field import GridSpec, ScalarField\n"
-        "from ofc.solver import reinitialize\n"
-        "grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=65)\n"
-        "u = ScalarField(grid, np.load(sys.argv[1]))\n"
-        "print(hashlib.sha256(reinitialize(u).values.tobytes()).hexdigest())\n"
+        "import sys\n"
+        "from test_solver import _blas_products_digests\n"
+        "print(' '.join(_blas_products_digests(sys.argv[1])))\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=src)
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, tests]))
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "u.npy")], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
-    assert done.stdout.strip() == hashlib.sha256(reinitialize(u).values.tobytes()).hexdigest()
+    assert done.stdout.split() == _blas_products_digests(tmp_path / "u.npy")
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +719,8 @@ def test_trace_csv_layout(toy):
     header = [l for l in lines if l.startswith("# ")]
     for key in ("beta=", "measure=", "descent=", "dt=", "lambda=", "eps_h=",
                 "tol=", "reinit_every=", "max_iter=", "seed=", "status=",
-                "restarted=", "final_dt=", "final_energy="):
+                "restarted=", "final_dt=", "final_energy=", "dt_halvings=",
+                "stationarity_residual=", "energy_ascent="):
         assert any(key in h for h in header), key
     rows = lines[len(header):]
     assert rows[0] == "iteration,energy,max_update,reinit"
@@ -723,3 +740,46 @@ def test_train_is_deterministic(toy):
     m2, t2 = train(pair, energy, cfg)
     assert t1.to_csv() == t2.to_csv()
     assert m1.u.values.tobytes() == m2.u.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# run diagnostics in the trace
+
+
+def test_trace_diagnostics_describe_the_returned_field(toy):
+    pair, eps = toy
+    energy = MeasureEnergy(pair, eps=eps)
+    # a first dt far above the guard's limit is halved until steps pass
+    cfg = TrainConfig(init=RIGHT_BOX, dt=1e9, reinit_every=50, max_iter=20)
+    model, trace = train(pair, energy, cfg)
+    assert trace.dt_halvings > 0
+    assert trace.final_dt == 1e9 * 0.5 ** trace.dt_halvings
+    assert trace.stationarity_residual == energy.stationarity_residual(model.u)
+    text = trace.to_csv()
+    assert f"# dt_halvings={trace.dt_halvings}\n" in text
+    assert f"# stationarity_residual={trace.stationarity_residual!r}\n" in text
+    assert f"# energy_ascent={int(trace.energy_ascent)}\n" in text
+
+
+def test_energy_ascent_flags_a_rebound():
+    # db2's energy is lowest (0.4035) at iteration 208 and ends at 0.4066
+    from ofc.classifier import fit
+    from ofc.data import gen_db
+
+    _, trace = fit(gen_db(2, seed=0), TrainConfig(resolution=64, max_iter=400))
+    energies = [r.energy for r in trace.records]
+    assert energies.index(min(energies)) + 1 == 208
+    assert trace.final_energy > 1.005 * min(energies)
+    assert trace.energy_ascent
+
+
+def test_energy_ascent_unset_while_the_energy_falls():
+    from ofc.classifier import fit
+    from ofc.data import gen_db
+
+    _, trace = fit(gen_db(3, seed=0), TrainConfig(resolution=64, max_iter=100))
+    energies = [r.energy for r in trace.records]
+    assert all(b <= a for a, b in zip(energies, energies[1:]))
+    assert trace.final_energy == energies[-1]
+    assert not trace.energy_ascent
+    assert "# energy_ascent=0\n" in trace.to_csv()
