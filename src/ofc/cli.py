@@ -232,15 +232,23 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
+def _report_failures(result, out) -> int:
+    """Print each failed cell; a run in which every cell failed is a
+    numerical failure, although its outputs are written."""
+    for failure in result.failures:
+        print(f"cell failed: {failure}", file=sys.stderr)
+    if not result.outcomes:
+        raise NumericalError(f"every cell failed; {out} holds no result")
+    return EXIT_OK
+
+
 def _cmd_eval(args) -> int:
     spec = _spec_from_config(args.config, seed_override=args.seed)
     result = run_experiment(spec)
     _write_text(args.out, result.summary_csv())
     if args.raw is not None:
         _write_text(args.raw, result.raw_csv())
-    for failure in result.failures:
-        print(f"cell failed: {failure}", file=sys.stderr)
-    return EXIT_OK
+    return _report_failures(result, args.out)
 
 
 def _cmd_sweep_beta(args) -> int:
@@ -249,9 +257,7 @@ def _cmd_sweep_beta(args) -> int:
                              betas_override=betas)
     result = run_experiment(spec)
     _write_text(args.out, result.sweep_csv())
-    for failure in result.failures:
-        print(f"cell failed: {failure}", file=sys.stderr)
-    return EXIT_OK
+    return _report_failures(result, args.out)
 
 
 def _cmd_frontier(args) -> int:

@@ -132,9 +132,13 @@ def density_on_grid(model: KdeModel, grid: GridSpec) -> ScalarField:
     f = ScalarField(grid, vals)
     mass = integrate(f)
     if mass < 1e-12:
-        raise EmptyMassError(
-            f"density mass {mass:g} on the grid; samples fall outside the bounds"
-        )
+        lo, hi = grid.mins, grid.maxs
+        if ((model.samples >= lo) & (model.samples <= hi)).all():
+            cause = (f"the bandwidth {model.bandwidth} is far wider than the grid "
+                     f"({hi - lo} across)")
+        else:
+            cause = "samples fall outside the bounds"
+        raise EmptyMassError(f"density mass {mass:g} on the grid; {cause}")
     return ScalarField(grid, vals / mass)
 
 

@@ -12,25 +12,17 @@ tol for 5 consecutive iterations.
 Reinitialization is a closest-point transform.  It locates the zero
 crossings exactly on grid edges and gives each node next to one (a seed)
 a foot point: the nearest point of the plane through its crossings.
-Every other node then takes the distance to the nearest of those feet,
-found by one of two searches:
-
-- an exhaustive search, which compares each node with every foot through
-  one small matrix product per chunk of nodes and is exact; its cost grows
-  with nodes x seeds;
-- jump flooding, which offers each node the feet of its neighbours at
-  halving strides; it costs O(N log N) for N nodes, but can settle up to a
-  fifth of a cell farther than the nearest foot.
-
-The exhaustive search runs up to ``_EXACT_MAX_PAIRS`` (nodes x seeds):
-there it is exact and also faster, because the flood's many small numpy
-passes cost more than the product.  Above it the flood runs, whose cost
-does not grow with the seeds.  The sign of u is preserved at every node,
-so the classifier is unchanged.
+Every other node then takes the distance to its nearest foot, found
+exactly by one search that compares nodes with feet through one small
+matrix product per chunk of nodes.  Up to ``_EXACT_MAX_PAIRS`` (nodes x
+seeds) every node meets every foot.  Above it the grid is split into
+tiles of about ``_TILE_NODES`` nodes, and each tile meets only the feet
+that a bound on the tile's box cannot rule out, so the cost no longer
+grows with nodes x seeds.  The sign of u is preserved at every node, so
+the classifier is unchanged.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -59,23 +51,23 @@ _CONSECUTIVE_FOR_CONVERGENCE = 5
 _ASCENT_MARGIN = 1e-3
 _MAX_DT_HALVINGS = 80
 _MIN_CELLS_PER_AXIS = 4
-# reinitialize searches all (nodes x seeds) pairs up to this many and jump
-# floods above.  Median ms of one call on 2 cores, search and flood:
-#   2-D  65^2, fit2d fields,    1-4M pairs:    2.0-4.4    5.7-6.6
-#   2-D  33^2, cv fields,       0.2M pairs:    0.5-1.2    1.6-6.0
-#   2-D 129^2, sine fields,    19.6M pairs:   15         24
-#                              42.6M pairs:   34         22
-#   3-D  25^3, sine fields,    40.1M pairs:   32         43
-#                              91.7M pairs:   47         38
-#   3-D  33^3, sine fields,     160M pairs:  122        152
-#                               368M pairs:  234        119
-#   3-D  33^3, fit3d fields, 25-42M pairs:   28-38     109-124
-# The break-even count grows with the grid, since the flood's cost per node
-# grows with log N and the search's with the seeds alone; a constant at the
-# smallest break-even measured keeps the search off the grids where it loses.
+# reinitialize searches a grid of up to this many (nodes x seeds) pairs as
+# one tile and splits a larger one into tiles.  Below it tiles do not pay:
+# one tile takes 0.71 ms and tiles 1.09 ms on cv-sized 33^2 fields.  Median
+# ms of one whole call on 2 cores, jump flooding (before) and tiles (after):
+#   2-D 129^2, sine field,         1,293 seeds:    21   ->  11
+#   2-D 257^2, sine field,         2,591 seeds:   121   ->  44
+#   1-D 20,001 nodes, sine field,  2,062 seeds:     6.5 ->   7.0
+#   3-D  33^3, fit3d torus field,    844 seeds:   118   ->  42
+#   3-D  65^3, default lattice,   31,232 seeds:  1074   -> 723
+#   3-D  65^3, torus data field,  24,241 seeds:  1359   -> 643
 _EXACT_MAX_PAIRS = 1 << 24
 # elements of the (nodes x feet) product formed at a time
 _EXACT_CHUNK = 1 << 16
+# nodes per tile above _EXACT_MAX_PAIRS, and the relative slack on the
+# squared distance bounds that prune a tile's feet, for rounding
+_TILE_NODES = 1 << 9
+_TILE_SLACK = 1e-12
 
 
 def default_resolution(dim: int) -> int:
@@ -247,47 +239,6 @@ def _axis_crossing_offsets(values: np.ndarray, spacing) -> list[np.ndarray]:
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _flood_slices(shape: tuple, step: int) -> tuple:
-    """Index tuples of every non-zero offset in {-step, 0, step}^d that fits the grid.
-
-    Each entry is (dst, foot_dst, foot_src): the nodes that receive, and
-    the receiving and offering nodes with the leading coordinate axis of
-    ``foot`` and ``coords`` kept whole.
-    """
-    out = []
-    for off in np.ndindex(*(3,) * len(shape)):
-        shifts = [(o - 1) * step for o in off]
-        if not any(shifts) or any(abs(k) >= n for k, n in zip(shifts, shape)):
-            continue
-        dst = tuple(slice(max(0, -k), n - max(0, k)) for k, n in zip(shifts, shape))
-        src = tuple(slice(max(0, k), n - max(0, -k)) for k, n in zip(shifts, shape))
-        out.append((dst, (slice(None),) + dst, (slice(None),) + src))
-    return tuple(out)
-
-
-def _flood_pass(foot, d2, coords, free, step: int) -> bool:
-    """Offer every node the feet of its neighbours at offsets in {-step, 0, step}^d.
-
-    A free node adopts a neighbour's foot when that foot is strictly
-    closer; ``foot`` and ``d2`` are updated in place.  Returns whether any
-    node changed.
-    """
-    changed = False
-    for dst, foot_dst, foot_src in _flood_slices(d2.shape, step):
-        offered = foot[foot_src]
-        diff = coords[foot_dst] - offered
-        diff *= diff
-        cand = diff.sum(axis=0)
-        better = cand < d2[dst]
-        better &= free[dst]
-        if better.any():
-            changed = True
-            np.copyto(d2[dst], cand, where=better)
-            np.copyto(foot[foot_dst], offered, where=better)
-    return changed
-
-
 def _nearest_feet(points: np.ndarray, feet: np.ndarray) -> np.ndarray:
     """Index into ``feet`` (S, d) of the nearest foot of each of ``points`` (N, d).
 
@@ -306,6 +257,56 @@ def _nearest_feet(points: np.ndarray, feet: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tiles(axes: list, feet: np.ndarray):
+    """Yield each tile's node slices and the feet that can be nearest to one
+    of its nodes.
+
+    Every axis is split evenly into runs of about ``_TILE_NODES ** (1 / d)``
+    nodes.  Let ``ub`` be the smallest distance from a foot to the farthest
+    point of a tile's box: that foot lies within ``ub`` of every node of the
+    tile, so a foot farther than ``ub`` from the whole box is no node's
+    nearest.
+    """
+    side = round(_TILE_NODES ** (1 / len(axes)))
+    edges, near, far = [], [], []
+    for ax, f in zip(axes, feet.T):
+        e = np.linspace(0, len(ax), -(-len(ax) // side) + 1).round().astype(np.intp)
+        mid, half = 0.5 * (ax[e[1:] - 1] + ax[e[:-1]]), 0.5 * (ax[e[1:] - 1] - ax[e[:-1]])
+        # squared distance from each foot to each run of nodes, farthest and nearest
+        a = f - mid[:, None]
+        b = np.abs(a, out=a) + half[:, None]
+        far.append(np.square(b, out=b))
+        a -= half[:, None]
+        np.maximum(a, 0.0, out=a)
+        near.append(np.square(a, out=a))
+        edges.append(e)
+    # one row of tiles along the last axis at a time: (tiles, feet) arrays
+    for lead in np.ndindex(*(len(e) - 1 for e in edges[:-1])):
+        row_near = sum((n[i] for n, i in zip(near, lead)), near[-1])
+        ub = sum((r[i] for r, i in zip(far, lead)), far[-1]).min(axis=1, keepdims=True)
+        keep = row_near <= ub * (1 + _TILE_SLACK)
+        box = tuple(slice(e[i], e[i + 1]) for e, i in zip(edges, lead))
+        for j, run in enumerate(zip(edges[-1][:-1], edges[-1][1:])):
+            yield box + (slice(*run),), feet[keep[j]]
+
+
+def _plane_feet(values: np.ndarray, spacing, coords: np.ndarray):
+    """Each node's distance to the plane through the zero crossings on its
+    edges (inf on a node without any), and the feet (S, d) of the seeds, the
+    nodes with such a plane, in C order."""
+    with np.errstate(all="ignore"):
+        # 0 where no incident edge crosses, inf on a node where u is zero
+        foot = np.stack([1.0 / o for o in _axis_crossing_offsets(values, spacing)])
+        inv = (foot * foot).sum(axis=0)
+        plane = 1.0 / np.sqrt(inv)
+        # the plane through a seed's crossings has normal 1 / offset; its foot
+        # lies at x + (1 / offset) / inv, which is x itself on a zero node
+        foot /= inv
+        foot += coords
+        np.copyto(foot, coords, where=np.isinf(inv))
+    return plane, foot[:, inv > 0].T
+
+
 def reinitialize(u: ScalarField) -> ScalarField:
     """Rebuild u as the signed distance to its own zero level set.
 
@@ -315,33 +316,20 @@ def reinitialize(u: ScalarField) -> ScalarField:
     if not has_sign_change(u):
         return u
     coords = np.stack(u.grid.mesh())
-    with np.errstate(all="ignore"):
-        # 0 where no incident edge crosses, inf on a node where u is zero
-        recip = np.stack([1.0 / o for o in _axis_crossing_offsets(u.values, u.grid.spacing)])
-        inv = (recip * recip).sum(axis=0)
-        plane = 1.0 / np.sqrt(inv)
-        # the plane through a seed's crossings has normal recip; its foot
-        # lies at x + recip / inv, which is x itself on a zero node
-        foot = np.where(np.isinf(inv), coords, coords + recip / inv)
-    seed = inv > 0
-    free = ~seed
-    if u.values.size * np.count_nonzero(seed) <= _EXACT_MAX_PAIRS:
-        centre = 0.5 * (u.grid.mins + u.grid.maxs)
-        points = coords[:, free].T - centre
-        feet = foot[:, seed].T - centre
-        gap = points - feet[_nearest_feet(points, feet)]
-        dist = plane  # inf on the free nodes until they are filled in
-        dist[free] = np.sqrt(np.einsum("ij,ij->i", gap, gap))
+    plane, feet = _plane_feet(u.values, u.grid.spacing, coords)
+    free = np.isinf(plane)
+    centre = 0.5 * (u.grid.mins + u.grid.maxs)
+    feet -= centre
+    if u.values.size * len(feet) <= _EXACT_MAX_PAIRS:
+        tiles = [((slice(None),) * u.grid.dim, feet)]
     else:
-        foot[:, free] = np.inf
-        d2 = np.where(seed, plane * plane, np.inf)
-        step = 1 << max(0, (max(d2.shape) - 1).bit_length() - 1)
-        while step > 1:
-            _flood_pass(foot, d2, coords, free, step)
-            step //= 2
-        while _flood_pass(foot, d2, coords, free, 1):
-            pass
-        dist = np.where(seed, plane, np.sqrt(d2))
+        tiles = _tiles([ax - c for ax, c in zip(u.grid.axes(), centre)], feet)
+    dist = plane  # a seed keeps its distance to the plane
+    for box, near in tiles:
+        todo = free[box]
+        points = coords[(slice(None),) + box][:, todo].T - centre
+        gap = points - near[_nearest_feet(points, near)]
+        dist[box][todo] = np.sqrt(np.einsum("ij,ij->i", gap, gap))
     return u.with_values(np.where(u.values >= 0, dist, -dist))
 
 

@@ -404,6 +404,26 @@ def test_eval_missing_data_key_is_data_error(tmp_path):
     assert run("eval", "--config", cfg, "--out", tmp_path / "s.csv") == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep-beta"])
+def test_every_cell_failing_is_numerical_failure(tmp_path, separable_csv, capsys, command):
+    cfg = eval_config(tmp_path / "exp.cfg", separable_csv, classifiers="ofc",
+                      repetitions=1, bandwidth="1e200")
+    out = tmp_path / "out.csv"
+    assert run(command, "--config", cfg, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.count("cell failed: ") == 4  # 2 betas x 2 folds
+    assert "numerical failure: every cell failed" in err
+    assert out.exists()  # written all the same
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep-beta"])
+def test_some_cells_failing_still_succeeds(tmp_path, separable_csv, capsys, command):
+    cfg = eval_config(tmp_path / "exp.cfg", separable_csv, classifiers="nb,ofc",
+                      repetitions=1, bandwidth="1e200")
+    assert run(command, "--config", cfg, "--out", tmp_path / "out.csv") == 0
+    assert capsys.readouterr().err.count("cell failed: ") == 4  # ofc's, not nb's
+
+
 def test_sweep_beta_one_row_per_beta(tmp_path, separable_csv):
     cfg = eval_config(tmp_path / "exp.cfg", separable_csv, classifiers="nb",
                       repetitions=1)

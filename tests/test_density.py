@@ -105,8 +105,16 @@ class TestDensityOnGrid:
             np.column_stack([0.0 - far, inner]),
             np.column_stack([inner, 2.0 + far]),
         ):
-            with pytest.raises(EmptyMassError):
+            with pytest.raises(EmptyMassError, match="samples fall outside the bounds"):
                 density_on_grid(KdeModel(pts, bw), grid)
+
+    def test_bandwidth_far_wider_than_the_grid_is_named(self):
+        # every sample lies inside; the kernel spreads its mass far past the grid
+        rng = np.random.default_rng(30)
+        grid = GridSpec(((0.0, 1.0), (0.0, 2.0)), (16, 16))
+        pts = rng.uniform(0.0, 1.0, size=(10, 2))
+        with pytest.raises(EmptyMassError, match=r"the bandwidth \[1\.e\+150 1\.e\+150\] is far wider"):
+            density_on_grid(KdeModel(pts, 1e150), grid)
 
     def test_samples_a_few_bandwidths_outside_still_count(self):
         rng = np.random.default_rng(29)

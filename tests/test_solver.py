@@ -28,7 +28,6 @@ from ofc.field import (
 )
 from ofc.solver import (
     TrainConfig,
-    _flood_slices,
     auto_time_step,
     default_resolution,
     has_sign_change,
@@ -337,24 +336,29 @@ def test_reinitialize_1d_matches_nearest_crossing():
     )
 
 
-# each input has enough nodes x seeds to take the jump flood
+# each input has more nodes x seeds than one tile takes
 @pytest.mark.parametrize("dim, resolution, wavenumber", [
     pytest.param(1, 20000, 400, id="1-20000"),
     pytest.param(2, 128, 4, id="2-128"),
     pytest.param(3, 20, 1, id="3-20"),
 ])
-def test_reinitialize_same_bytes_on_cold_and_warm_slice_cache(dim, resolution, wavenumber):
+def test_reinitialize_same_bytes_on_cold_and_warm_slice_cache(
+    dim, resolution, wavenumber, monkeypatch
+):
+    """Tiled redistancing matches the one-tile search to 1e-12 cell."""
     grid = GridSpec(bounds=((-2.0, 2.0),) * dim, resolution=resolution)
     rng = np.random.default_rng(dim)
     u = ScalarField(grid, sum(
         np.sin(wavenumber * rng.uniform(1, 3) * m + rng.uniform(0, 6)) for m in grid.mesh()
     ))
-    _flood_slices.cache_clear()
-    cold = reinitialize(u).values.tobytes()
-    assert _flood_slices.cache_info().currsize > 0
-    warm = reinitialize(u).values.tobytes()
-    assert _flood_slices.cache_info().hits > 0
-    assert warm == cold
+    offsets = solver._axis_crossing_offsets(u.values, grid.spacing)
+    seeds = np.count_nonzero(np.isfinite(np.stack(offsets)).any(axis=0))
+    assert u.values.size * seeds > solver._EXACT_MAX_PAIRS
+    tiled = reinitialize(u).values
+    monkeypatch.setattr(solver, "_EXACT_MAX_PAIRS", np.inf)
+    np.testing.assert_allclose(
+        tiled, reinitialize(u).values, rtol=0, atol=1e-12 * max(grid.spacing)
+    )
 
 
 def test_reinitialize_threads_agree_bytewise():
@@ -362,8 +366,8 @@ def test_reinitialize_threads_agree_bytewise():
     large = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=128)
     mesh = large.mesh()
     fields = (
-        random_bump_field(small, np.random.default_rng(1)),  # exhaustive search
-        ScalarField(large, np.sin(4.0 * mesh[0]) + np.cos(3.0 * mesh[1])),  # jump flood
+        random_bump_field(small, np.random.default_rng(1)),  # one tile
+        ScalarField(large, np.sin(4.0 * mesh[0]) + np.cos(3.0 * mesh[1])),  # tiled
     )
     expected = [reinitialize(u).values.tobytes() for u in fields]
     interval = sys.getswitchinterval()
@@ -409,50 +413,31 @@ def all_pairs_redistance(u):
 @pytest.mark.parametrize("dim, resolution, centre", [
     (1, 200, 0.0), (2, 40, 0.0), (3, 12, 0.0), (2, 40, 1e6),
 ])
-def test_reinitialize_search_matches_all_pairs_reference(dim, resolution, centre):
+def test_reinitialize_search_matches_all_pairs_reference(dim, resolution, centre, monkeypatch):
     grid = GridSpec(bounds=((centre - 2.0, centre + 2.0),) * dim, resolution=resolution)
     rng = np.random.default_rng(dim)
     u = ScalarField(grid, sum(np.sin(rng.uniform(1, 3) * m + rng.uniform(0, 6)) for m in grid.mesh()))
-    got = reinitialize(u).values
-    np.testing.assert_allclose(got, all_pairs_redistance(u), rtol=0, atol=1e-12 * max(grid.spacing))
-
-
-def test_reinitialize_search_never_farther_than_flood(monkeypatch):
-    grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=65)
-    rng = np.random.default_rng(0)
-    fields = [random_bump_field(grid, rng) for _ in range(3)]
-    searched = [np.abs(reinitialize(u).values) for u in fields]
-    monkeypatch.setattr(solver, "_EXACT_MAX_PAIRS", 0)
-    flooded = [np.abs(reinitialize(u).values) for u in fields]
-    for s, f in zip(searched, flooded):
-        assert np.all(s <= f + 1e-12 * max(grid.spacing))
-        assert np.any(s < f)
-
-
-def test_reinitialize_floods_only_large_grids(monkeypatch):
-    calls = []
-    original = solver._flood_pass
-
-    def counted(*args):
-        calls.append(args[-1])
-        return original(*args)
-
-    monkeypatch.setattr(solver, "_flood_pass", counted)
-    grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=65)
-    reinitialize(random_bump_field(grid, np.random.default_rng(0)))
-    assert calls == []
-    ball_distance_error(3, 1.5, 32)
-    assert len(calls) > 0
+    expected = all_pairs_redistance(u)
+    atol = 1e-12 * max(grid.spacing)
+    np.testing.assert_allclose(reinitialize(u).values, expected, rtol=0, atol=atol)
+    monkeypatch.setattr(solver, "_EXACT_MAX_PAIRS", 0)  # tiled at any size
+    np.testing.assert_allclose(reinitialize(u).values, expected, rtol=0, atol=atol)
 
 
 def _blas_products_digests(u_path) -> list:
-    """Hashes of a redistanced field and of whole fits at 33^2 and 65^2 nodes,
-    each of which runs matrix products on every step."""
+    """Hashes of a field redistanced as one tile, of a tiled one at 129^2 nodes,
+    and of whole fits at 33^2 and 65^2 nodes, each of which runs matrix
+    products on every step."""
     from ofc.classifier import fit
     from ofc.data import gen_db
 
     grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=65)
-    arrays = [reinitialize(ScalarField(grid, np.load(u_path))).values]
+    large = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=128)
+    mesh = large.mesh()
+    arrays = [
+        reinitialize(ScalarField(grid, np.load(u_path))).values,
+        reinitialize(ScalarField(large, np.sin(4.0 * mesh[0]) + np.cos(3.0 * mesh[1]))).values,
+    ]
     data = gen_db(4, seed=0)
     for resolution, max_iter in ((32, 200), (64, 400)):
         model, _ = fit(data, TrainConfig(resolution=resolution, max_iter=max_iter))
