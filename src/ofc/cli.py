@@ -42,6 +42,7 @@ from .errors import (
     NumericalError,
     ParseError,
 )
+from .energy import _MEASURES
 from .field import write_pgm
 from .harness import ExperimentSpec, run_experiment
 from .solver import TrainConfig
@@ -277,7 +278,7 @@ def _cmd_field(args) -> int:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     """Training flags; each one left out keeps the library's default."""
-    p.add_argument("--measure", choices=("f_measure", "accuracy"),
+    p.add_argument("--measure", choices=tuple(_MEASURES),
                    help="objective to minimize")
     p.add_argument("--beta", type=float, help="F_beta weight")
     p.add_argument("--resolution", type=int,

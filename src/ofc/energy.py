@@ -1,28 +1,29 @@
 """Region energies whose minimizers maximize a classification measure.
 
-For the F-beta measure the energy of a decision field u is
-
-    E[u] = (k * B + C) / A,   k = beta**2 * p_count / n_count,
-
-where, writing H for the smoothed step at width eps and f+/f- for the
-unit-mass class densities,
+Writing H for the smoothed step at width eps and f+/f- for the unit-mass
+class densities, a decision field u has the three fractions
 
     A = integral H(u) f+     (true-positive fraction)
     B = integral H(-u) f+    (false-negative fraction)
-    C = integral H(u) f-     (false-positive fraction).
+    C = integral H(u) f-     (false-positive fraction),
 
-E is proportional to the misclassification ratio (beta**2*FN + FP)/TP, so
-driving E down drives F-beta up.  For the accuracy measure the energy is
-the count-scaled error mass
+and a measure is an energy E[u] = g(A, B, C).  For F-beta,
 
-    E[u] = p_count * B + n_count * C,
+    g = (k * B + C) / A,   k = beta**2 * p_count / n_count,
 
-minimized where the positive region is exactly the set where
-p_count*f+ > n_count*f-.
+proportional to the misclassification ratio (beta**2*FN + FP)/TP, so
+driving E down drives F-beta up.  For accuracy, g is the count-scaled
+error mass p_count * B + n_count * C, minimized where the positive region
+is exactly the set where p_count*f+ > n_count*f-.
 
-Two descent directions are available: the first variation of E, and a
-cheaper surrogate proportional to it (the scale factor is A**2 with k
-replaced by beta**2), which has the same zero set.
+A variation of u moves A by delta(u) f+, B by -delta(u) f+ and C by
+delta(u) f-, so the first variation of any such energy is
+
+    delta(u) * ((g_A - g_B) * f+ + g_C * f-),
+
+one flow for every measure given g and its partials (g_C must not vanish).
+For F-beta a cheaper surrogate "G" is also available: A**2 times the
+variation with k replaced by beta**2, which has the same zero set.
 
 The training loop evaluates these on every iteration, so each is written
 as few whole-grid passes.  With H = 1/2 + arctan(u/eps)/pi, the three
@@ -31,10 +32,11 @@ quadrature-weighted densities, whose masses are W+/-:
 
     A = W+/2 + S+/pi,   B = W+/2 - S+/pi,   C = W-/2 + S-/pi.
 
-The descent directions divide one numerator, a combination of f+ and f-
-with every scalar factor (eps/pi, 1/A, ...) folded into its two
-coefficients, by eps**2 + u**2.  The numerator is one product of those
-two coefficients with the densities stacked as a (2, nodes) matrix.
+The flow is f- + q * f+, one product of (1, q) with the densities stacked
+as a (2, nodes) matrix, divided by eps**2 + u**2 with every other scalar
+(eps/pi, g_C) folded into that denominator.  The unit coefficient on f-
+keeps the flow exactly zero where f- == -q * f+: a fused multiply-add
+with two rounded coefficients would leave a residue there.
 """
 from __future__ import annotations
 
@@ -46,10 +48,29 @@ import numpy as np
 from .density import DensityPair
 from .errors import VanishingPositiveMassError
 from .field import ScalarField, _quadrature_weights
-from .metrics import check_beta, smoothed_delta
+from .metrics import check_positive, smoothed_delta
 
 _MASS_FLOOR = 1e-12
 _BAND_FRACTION = 1e-3
+
+
+def _f_beta(k: float, a: float, b: float, c: float):
+    """F-beta's g = (k*B + C)/A and its partials; raises once A vanishes."""
+    if a < _MASS_FLOOR:
+        raise VanishingPositiveMassError(
+            f"positive region holds {a:.3e} of the positive density"
+        )
+    g = (k * b + c) / a
+    return g, (-g / a, k / a, 1.0 / a)
+
+
+# measure name -> (energy, A, B, C) -> (g, (g_A, g_B, g_C))
+_MEASURES = {
+    "f_measure": lambda e, a, b, c: _f_beta(e.k, a, b, c),
+    "accuracy": lambda e, a, b, c: (
+        e.pair.p_count * b + e.pair.n_count * c, (0.0, e.pair.p_count, e.pair.n_count)
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -68,20 +89,17 @@ class MeasureEnergy:
     k: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.kind not in ("f_measure", "accuracy"):
+        if self.kind not in _MEASURES:
             raise ValueError(f"unknown energy kind {self.kind!r}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        check_beta(self.beta)
-        if self.kind == "accuracy":
-            if self.k is not None:
-                raise ValueError("k only applies to the f_measure energy")
-        elif self.k is None:
-            object.__setattr__(
-                self, "k", self.beta**2 * self.pair.p_count / self.pair.n_count
-            )
-        elif self.k <= 0:
-            raise ValueError(f"k must be positive, got {self.k}")
+        check_positive("eps", self.eps)
+        check_positive("beta", self.beta)
+        if self.kind == "f_measure":
+            if self.k is None:
+                k = self.beta**2 * self.pair.p_count / self.pair.n_count
+                object.__setattr__(self, "k", k)
+            check_positive("k", self.k)
+        elif self.k is not None:
+            raise ValueError("k only applies to the f_measure energy")
         # quadrature-weighted densities, one row per class, and half their
         # masses: the fractions are then one matrix-vector product
         w = _quadrature_weights(self.pair.grid)
@@ -89,41 +107,26 @@ class MeasureEnergy:
         weighted = np.stack([fp * w, fn * w]).reshape(2, -1)
         object.__setattr__(self, "_weighted", weighted)
         object.__setattr__(self, "_half_mass", (0.5 * weighted.sum(axis=1)).tolist())
-        # (f-, f+) rows: a flow's numerator is one product with its coefficients
+        # (f-, f+) rows: a flow's numerator is one product with (1, q)
         object.__setattr__(self, "_densities", np.stack([fn, fp]).reshape(2, -1))
-        if self.kind == "accuracy":
-            # the accuracy flow's numerator does not depend on u
-            num = (self.eps / math.pi) * (self.pair.n_count * fn - self.pair.p_count * fp)
-            object.__setattr__(self, "_accuracy_numerator", num)
 
     def _fractions(self, u: ScalarField) -> tuple[float, float, float]:
-        """(A, B, C); raises once the positive region loses all f+ mass."""
+        """(A, B, C) of u."""
         s = self._weighted @ np.arctan(u.values / self.eps).ravel()
         s_pos, s_neg = s.tolist()
         half_pos, half_neg = self._half_mass
         a = half_pos + s_pos / math.pi
         b = half_pos - s_pos / math.pi
         c = half_neg + s_neg / math.pi
-        if self.kind == "f_measure" and a < _MASS_FLOOR:
-            raise VanishingPositiveMassError(
-                f"positive region holds {a:.3e} of the positive density"
-            )
         return a, b, c
 
-    def _impulse_denominator(self, u: ScalarField) -> np.ndarray:
-        """eps**2 + u**2, the impulse's denominator, as a fresh array."""
+    def _flow(self, u: ScalarField, coef_pos: float, coef_neg: float) -> ScalarField:
+        """``smoothed_delta(u) * (coef_pos * f+ + coef_neg * f-)`` as a field."""
+        num = np.array([1.0, coef_pos / coef_neg]) @ self._densities
         den = u.values * u.values
         den += self.eps**2
-        return den
-
-    def _flow(self, u: ScalarField, ratio: float, scale: float) -> ScalarField:
-        """``scale * (f- - ratio * f+) / (eps**2 + u**2)`` as a field.
-
-        With ``scale = c * eps / pi`` this is ``c * smoothed_delta(u) *
-        (f- - ratio * f+)``.
-        """
-        num = np.array([scale, -scale * ratio]) @ self._densities
-        num /= self._impulse_denominator(u).ravel()
+        den *= math.pi / (coef_neg * self.eps)
+        num /= den.ravel()
         return u.with_values(num.reshape(u.grid.shape))
 
     def evaluate(self, u: ScalarField, return_fractions: bool = False):
@@ -133,25 +136,18 @@ class MeasureEnergy:
         same u, which then skips recomputing them.
         """
         fractions = self._fractions(u)
-        a, b, c = fractions
-        if self.kind == "accuracy":
-            energy = self.pair.p_count * b + self.pair.n_count * c
-        else:
-            energy = (self.k * b + c) / a
+        energy, _ = _MEASURES[self.kind](self, *fractions)
         return (energy, fractions) if return_fractions else energy
 
     def gradient(self, u: ScalarField, fractions: tuple = None) -> ScalarField:
         """First variation of the energy at u, as a field on the same grid.
 
-        ``fractions`` are u's (A, B, C) when already known.  The f_measure
-        form is ``delta(u) * (f- - (k + E) * f+) / A``.
+        ``fractions`` are u's (A, B, C) when already known.  The variation
+        is ``delta(u) * ((g_A - g_B) * f+ + g_C * f-)``.
         """
-        if self.kind == "accuracy":
-            den = self._impulse_denominator(u)
-            return u.with_values(np.divide(self._accuracy_numerator, den, out=den))
         a, b, c = fractions if fractions is not None else self._fractions(u)
-        e = (self.k * b + c) / a
-        return self._flow(u, self.k + e, self.eps / (math.pi * a))
+        _, (g_a, g_b, g_c) = _MEASURES[self.kind](self, a, b, c)
+        return self._flow(u, g_a - g_b, g_c)
 
     def descent_direction(
         self, u: ScalarField, kind: str = "derivative", fractions: tuple = None
@@ -168,8 +164,9 @@ class MeasureEnergy:
         if self.kind != "f_measure":
             raise ValueError("descent kind 'G' only applies to the f_measure energy")
         a, b, c = fractions if fractions is not None else self._fractions(u)
-        b2 = self.beta**2
-        return self._flow(u, b2 + (c + b2 * b) / a, self.eps * a / math.pi)
+        # A**2 times the F-beta variation at k = beta**2
+        _, (g_a, g_b, g_c) = _f_beta(self.beta**2, a, b, c)
+        return self._flow(u, a * a * (g_a - g_b), a * a * g_c)
 
     def stationarity_residual(self, u: ScalarField, fractions: tuple = None) -> float:
         """Largest gradient magnitude on the active band around the zero set.

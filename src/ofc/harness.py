@@ -40,7 +40,7 @@ from .field import GridSpec, ScalarField
 from .metrics import (
     ConfusionCounts,
     MetricsReport,
-    check_beta,
+    check_positive,
     confusion_from_predictions,
     metrics_from_counts,
 )
@@ -191,7 +191,7 @@ def threshold_oracle(source, beta: float = 1.0, steps: int = 2000, metric: str =
     taus and returns (tau*, metrics at tau*); ties resolve to the
     smallest tau.
     """
-    check_beta(beta)
+    check_positive("beta", beta)
     if steps < 2:
         raise ValueError(f"need at least 2 sweep steps, got {steps}")
     if isinstance(source, AnalyticToy):
@@ -265,7 +265,7 @@ class ExperimentSpec:
         if not self.betas:
             raise ValueError("beta grid must be nonempty")
         for b in self.betas:
-            check_beta(b)
+            check_positive("beta", b)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 

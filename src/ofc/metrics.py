@@ -76,15 +76,16 @@ class MetricsReport:
         )
 
 
-def check_beta(beta: float) -> None:
-    """Raise ValueError unless the F-beta weight is positive and finite.
+def check_positive(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is positive and finite.
 
-    The energy uses beta**2, so a beta whose square overflows is refused too.
+    The energy squares beta and eps, so a value whose square overflows is
+    refused too.
     """
-    beta = float(beta)
-    if not (beta > 0 and np.isfinite(beta * beta)):
+    value = float(value)
+    if not (value > 0 and np.isfinite(value * value)):
         raise ValueError(
-            f"beta must be positive and finite, with a finite square; got {beta}"
+            f"{name} must be positive and finite, with a finite square; got {value}"
         )
 
 
@@ -94,7 +95,7 @@ def metrics_from_counts(counts: ConfusionCounts, beta: float = 1.0) -> MetricsRe
     A table with tp == 0 is degenerate, not an error: recall, precision and
     F-beta are 0 and the misclassification ratio epsilon is infinite.
     """
-    check_beta(beta)
+    check_positive("beta", beta)
     if counts.total <= 0:
         raise EmptyConfusionError("confusion table is empty")
     tp, fp, fn, tn = counts.tp, counts.fp, counts.fn, counts.tn

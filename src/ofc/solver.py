@@ -43,7 +43,7 @@ from .field import (
     init_shape,
     laplacian,
 )
-from .metrics import check_beta
+from .metrics import check_positive
 
 _CONSECUTIVE_FOR_CONVERGENCE = 5
 # the trace flags an energy ascent when the returned field's energy is above
@@ -99,7 +99,7 @@ class TrainConfig:
     descent: str = "derivative"
 
     def __post_init__(self):
-        check_beta(self.beta)
+        check_positive("beta", self.beta)
         for name in ("dt", "lam", "eps_h", "tol"):
             v = getattr(self, name)
             if v is not None and (not math.isfinite(v) or v <= 0):
@@ -363,7 +363,7 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
     dt0 = dt
     header = {
         "beta": repr(cfg.beta),
-        "k": repr(e.k) if e.kind == "f_measure" else "",
+        "k": "" if e.k is None else repr(e.k),
         "measure": e.kind,
         "descent": cfg.descent,
         "dt": repr(dt),
@@ -430,7 +430,7 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
         u=u,
         kind=e.kind,
         beta=e.beta,
-        k=e.k if e.kind == "f_measure" else None,
+        k=e.k,
         config=snapshot,
         densities_hash=density_fingerprint(d),
         degenerate=not has_sign_change(u),

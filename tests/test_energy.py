@@ -1,9 +1,12 @@
 """Energy functional: value wiring, first variation, descent directions."""
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from ofc.density import DensityPair
+from ofc import energy as energy_module
 from ofc.energy import MeasureEnergy
 from ofc.errors import VanishingPositiveMassError
 from ofc.field import GridSpec, ScalarField, integrate
@@ -80,7 +83,21 @@ def test_accuracy_energy_minimized_at_density_crossing():
     assert tau_star == pytest.approx(3.956, abs=0.001)
 
 
-@pytest.mark.parametrize("kind,beta", [("f_measure", 1.0), ("f_measure", 3.0), ("accuracy", 1.0)])
+def g_mean(e, a, b, c):
+    """Minus the geometric mean of recall and specificity: g = -sqrt(A * (1 - C))."""
+    g = -math.sqrt(a * (1.0 - c))
+    return g, (g / (2.0 * a), 0.0, -g / (2.0 * (1.0 - c)))
+
+
+@pytest.fixture
+def with_g_mean(monkeypatch):
+    # a measure no built-in shares: g_B = 0, nonlinear in A and in C
+    monkeypatch.setitem(energy_module._MEASURES, "g_mean", g_mean)
+
+
+@pytest.mark.usefixtures("with_g_mean")
+@pytest.mark.parametrize("kind,beta", [("f_measure", 1.0), ("f_measure", 3.0), ("accuracy", 1.0),
+                                       ("g_mean", 1.0)])
 def test_gradient_matches_central_differences(kind, beta):
     pair = toy_pair(512)
     grid = pair.grid
@@ -261,7 +278,8 @@ def test_folded_forms_match_textbook(kind, descent):
         assert_close_to_max(direction, gradient if descent == "derivative" else surrogate)
 
 
-@pytest.mark.parametrize("kind", ["f_measure", "accuracy"])
+@pytest.mark.usefixtures("with_g_mean")
+@pytest.mark.parametrize("kind", ["f_measure", "accuracy", "g_mean"])
 def test_small_step_against_gradient_lowers_energy(kind):
     pair = toy_pair(512)
     u = threshold_field(pair, 2.9)
@@ -310,6 +328,8 @@ def test_vanishing_positive_mass():
         energy.evaluate(sunk)
     with pytest.raises(VanishingPositiveMassError):
         energy.gradient(sunk)
+    with pytest.raises(VanishingPositiveMassError):
+        energy.descent_direction(sunk, "G")
     # The accuracy energy has no ratio to blow up: a fully negative field
     # misclassifies (almost) the whole positive class and nothing else.
     acc = MeasureEnergy(pair, eps=0.05, kind="accuracy")
@@ -322,6 +342,11 @@ def test_constructor_validation():
         MeasureEnergy(pair, eps=0.05, kind="gini")
     with pytest.raises(ValueError):
         MeasureEnergy(pair, eps=-0.05)
+    for bad in (float("nan"), float("inf"), 1e200):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            MeasureEnergy(pair, eps=bad)
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            MeasureEnergy(pair, eps=0.05, k=bad)
     with pytest.raises(ValueError):
         MeasureEnergy(pair, eps=0.05, beta=0.0)
     with pytest.raises(ValueError, match="finite"):
