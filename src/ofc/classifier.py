@@ -5,6 +5,10 @@ measure it was trained for, the resolved config, and a fingerprint of the
 training densities.  Class assignment is sign(u) with exact zero resolving
 to the positive class: in imbalance problems the positive class is the
 costly miss, so boundary points favor detection.
+
+A model file holds the config as ``config.<field>=<text>`` lines in the
+text form of :func:`ofc.solver.config_to_text`, which the trace header
+holds too.
 """
 from __future__ import annotations
 
@@ -22,17 +26,8 @@ from .errors import (
     ModelFormatError,
     VersionMismatchError,
 )
-from .field import (
-    Box,
-    GridSpec,
-    ScalarField,
-    Sphere,
-    SphereLattice,
-    field_from_text,
-    field_to_text,
-    interpolate,
-)
-from .solver import TrainConfig, default_resolution, train
+from .field import GridSpec, ScalarField, field_from_text, field_to_text, interpolate
+from .solver import TrainConfig, config_from_text, config_to_text, default_resolution, train
 
 _FORMAT_NAME = "ofc-model"
 _FORMAT_VERSION = 1
@@ -273,62 +268,7 @@ def frontier_csv(m: TrainedClassifier) -> str:
     return "\n\n".join("\n".join(b) for b in blocks) + "\n"
 
 
-def _encode_shape(shape) -> str:
-    def seq(v):
-        arr = np.atleast_1d(np.asarray(v, dtype=float))
-        return "|".join(repr(float(c)) for c in arr)
-
-    if shape is None:
-        return "default"
-    if isinstance(shape, Sphere):
-        return f"sphere;center={seq(shape.center)};radius={float(shape.radius)!r}"
-    if isinstance(shape, Box):
-        return f"box;lo={seq(shape.lo)};hi={seq(shape.hi)}"
-    if isinstance(shape, SphereLattice):
-        period = "none" if shape.period is None else seq(shape.period)
-        radius = "none" if shape.radius is None else repr(float(shape.radius))
-        # offset may be a scalar (same shift on every axis) or a tuple; a
-        # trailing "|" marks the single-component tuple form
-        if np.isscalar(shape.offset):
-            offset = repr(float(shape.offset))
-        else:
-            arr = np.atleast_1d(np.asarray(shape.offset, dtype=float))
-            offset = seq(arr) + ("|" if arr.size == 1 else "")
-        return f"lattice;period={period};radius={radius};offset={offset}"
-    raise ValueError(f"cannot encode init shape {shape!r}")
-
-
-def _decode_shape(text: str):
-    if text == "default":
-        return None
-    name, _, rest = text.partition(";")
-    kv = dict(item.split("=", 1) for item in rest.split(";") if item)
-
-    def seq(s):
-        return tuple(float(c) for c in s.split("|"))
-
-    if name == "sphere":
-        return Sphere(center=seq(kv["center"]), radius=float(kv["radius"]))
-    if name == "box":
-        return Box(lo=seq(kv["lo"]), hi=seq(kv["hi"]))
-    if name == "lattice":
-        period = None if kv["period"] == "none" else seq(kv["period"])
-        radius = None if kv["radius"] == "none" else float(kv["radius"])
-        raw = kv["offset"]
-        if "|" in raw:
-            offset = tuple(float(c) for c in raw.split("|") if c)
-        else:
-            offset = float(raw)
-        return SphereLattice(period=period, radius=radius, offset=offset)
-    raise ModelFormatError(f"unknown init shape {name!r}")
-
-
-def _opt(value, parse):
-    return None if value == "none" else parse(value)
-
-
 def save(m: TrainedClassifier, path) -> None:
-    cfg = m.config
     lines = [
         f"{_FORMAT_NAME} {_FORMAT_VERSION}",
         f"kind={m.kind}",
@@ -336,17 +276,7 @@ def save(m: TrainedClassifier, path) -> None:
         f"k={'none' if m.k is None else repr(m.k)}",
         f"degenerate={int(m.degenerate)}",
         f"densities_hash={m.densities_hash}",
-        f"config.beta={cfg.beta!r}",
-        f"config.dt={'none' if cfg.dt is None else repr(cfg.dt)}",
-        f"config.lam={'none' if cfg.lam is None else repr(cfg.lam)}",
-        f"config.eps_h={'none' if cfg.eps_h is None else repr(cfg.eps_h)}",
-        f"config.tol={cfg.tol!r}",
-        f"config.reinit_every={cfg.reinit_every}",
-        f"config.max_iter={cfg.max_iter}",
-        f"config.resolution={'none' if cfg.resolution is None else cfg.resolution}",
-        f"config.init={_encode_shape(cfg.init)}",
-        f"config.seed={cfg.seed}",
-        f"config.descent={cfg.descent}",
+        *(f"config.{name}={text}" for name, text in config_to_text(m.config).items()),
         "field:",
     ]
     with open(path, "w") as fh:
@@ -386,25 +316,13 @@ def load(path) -> TrainedClassifier:
         raise ModelFormatError(f"{path}: missing field section (truncated?)")
     try:
         u = field_from_text("\n".join(lines[field_start:]) + "\n")
-        cfg = TrainConfig(
-            beta=float(kv["config.beta"]),
-            dt=_opt(kv["config.dt"], float),
-            lam=_opt(kv["config.lam"], float),
-            eps_h=_opt(kv["config.eps_h"], float),
-            tol=float(kv["config.tol"]),
-            reinit_every=int(kv["config.reinit_every"]),
-            max_iter=int(kv["config.max_iter"]),
-            resolution=_opt(kv["config.resolution"], int),
-            init=_decode_shape(kv["config.init"]),
-            seed=int(kv["config.seed"]),
-            descent=kv["config.descent"],
-        )
+        config = {k.removeprefix("config."): v for k, v in kv.items() if k.startswith("config.")}
         return TrainedClassifier(
             u=u,
             kind=kv["kind"],
             beta=float(kv["beta"]),
-            k=_opt(kv["k"], float),
-            config=cfg,
+            k=None if kv["k"] == "none" else float(kv["k"]),
+            config=config_from_text(config),
             densities_hash=kv["densities_hash"],
             degenerate=bool(int(kv["degenerate"])),
         )

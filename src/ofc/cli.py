@@ -45,7 +45,7 @@ from .errors import (
 from .energy import _MEASURES
 from .field import write_pgm
 from .harness import ExperimentSpec, run_experiment
-from .solver import TrainConfig
+from .solver import CONFIG_PARSERS, TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,9 +126,9 @@ _DATA_KEYS = {
     "data": str, "subsample": int, "label_column": int,
     "positive_value": str, "data_seed": int,
 }
+# TrainConfig's fields, but the spec's betas and seed set beta and seed
 _TRAIN_KEYS = {
-    "dt": float, "lam": float, "eps_h": float, "tol": float,
-    "reinit_every": int, "max_iter": int, "resolution": int, "descent": str,
+    k: parse for k, parse in CONFIG_PARSERS.items() if k not in ("init", "beta", "seed")
 }
 _SPEC_KEYS = {
     "classifiers": _names, "repetitions": int, "folds": int, "betas": _floats,
@@ -192,10 +192,7 @@ def _cmd_gen(args) -> int:
 # train flags, by the call they go to
 _CSV_FLAGS = ("label_column", "positive_value")
 _FIT_FLAGS = ("measure", "bandwidth")
-_TRAIN_FLAGS = (
-    "beta", "dt", "lam", "eps_h", "tol", "reinit_every", "max_iter",
-    "resolution", "seed", "descent",
-)
+_TRAIN_FLAGS = tuple(k for k in CONFIG_PARSERS if k != "init")
 
 
 def _cmd_train(args) -> int:

@@ -73,6 +73,16 @@ _MEASURES = {
 }
 
 
+def check_measure(kind: str, descent: str = "derivative") -> None:
+    """Raise ValueError unless ``kind`` is a measure that ``descent`` applies to."""
+    if kind not in _MEASURES:
+        raise ValueError(f"unknown energy kind {kind!r}")
+    if descent not in ("derivative", "G"):
+        raise ValueError(f"unknown descent kind {descent!r}")
+    if descent == "G" and kind != "f_measure":
+        raise ValueError("descent kind 'G' only applies to the f_measure energy")
+
+
 @dataclass(frozen=True)
 class MeasureEnergy:
     """Energy functional for one density pair, measure and smoothing width.
@@ -89,15 +99,14 @@ class MeasureEnergy:
     k: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.kind not in _MEASURES:
-            raise ValueError(f"unknown energy kind {self.kind!r}")
+        check_measure(self.kind)
         check_positive("eps", self.eps)
         check_positive("beta", self.beta)
+        object.__setattr__(self, "beta", float(self.beta))
         if self.kind == "f_measure":
-            if self.k is None:
-                k = self.beta**2 * self.pair.p_count / self.pair.n_count
-                object.__setattr__(self, "k", k)
-            check_positive("k", self.k)
+            k = self.beta**2 * self.pair.p_count / self.pair.n_count if self.k is None else self.k
+            check_positive("k", k)
+            object.__setattr__(self, "k", float(k))
         elif self.k is not None:
             raise ValueError("k only applies to the f_measure energy")
         # quadrature-weighted densities, one row per class, and half their
@@ -159,10 +168,7 @@ class MeasureEnergy:
         """
         if kind == "derivative":
             return self.gradient(u, fractions)
-        if kind != "G":
-            raise ValueError(f"unknown descent kind {kind!r}")
-        if self.kind != "f_measure":
-            raise ValueError("descent kind 'G' only applies to the f_measure energy")
+        check_measure(self.kind, kind)
         a, b, c = fractions if fractions is not None else self._fractions(u)
         # A**2 times the F-beta variation at k = beta**2
         _, (g_a, g_b, g_c) = _f_beta(self.beta**2, a, b, c)

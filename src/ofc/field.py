@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import (
     DimensionError,
-    GridMismatchError,
     InvalidShapeError,
     NonFiniteError,
     OutOfDomainError,
@@ -136,11 +135,6 @@ class ScalarField:
 
     def with_values(self, values: np.ndarray) -> "ScalarField":
         return ScalarField(self.grid, values)
-
-
-def _require_same_grid(a: ScalarField, b: ScalarField):
-    if a.grid != b.grid:
-        raise GridMismatchError("fields live on different grids")
 
 
 @functools.lru_cache(maxsize=64)
@@ -422,6 +416,58 @@ def init_shape(grid: GridSpec, shape=None) -> ScalarField:
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def shape_to_text(shape) -> str:
+    """One-line text form of an init shape; ``None`` is "default"."""
+    def seq(v):
+        arr = np.atleast_1d(np.asarray(v, dtype=float))
+        return "|".join(repr(float(c)) for c in arr)
+
+    if shape is None:
+        return "default"
+    if isinstance(shape, Sphere):
+        return f"sphere;center={seq(shape.center)};radius={float(shape.radius)!r}"
+    if isinstance(shape, Box):
+        return f"box;lo={seq(shape.lo)};hi={seq(shape.hi)}"
+    if isinstance(shape, SphereLattice):
+        period = "none" if shape.period is None else seq(shape.period)
+        radius = "none" if shape.radius is None else repr(float(shape.radius))
+        # offset may be a scalar (same shift on every axis) or a tuple; a
+        # trailing "|" marks the single-component tuple form
+        if np.isscalar(shape.offset):
+            offset = repr(float(shape.offset))
+        else:
+            arr = np.atleast_1d(np.asarray(shape.offset, dtype=float))
+            offset = seq(arr) + ("|" if arr.size == 1 else "")
+        return f"lattice;period={period};radius={radius};offset={offset}"
+    raise ValueError(f"cannot encode init shape {shape!r}")
+
+
+def shape_from_text(text: str):
+    """Inverse of :func:`shape_to_text`."""
+    if text == "default":
+        return None
+    name, _, rest = text.partition(";")
+    kv = dict(item.split("=", 1) for item in rest.split(";") if item)
+
+    def seq(s):
+        return tuple(float(c) for c in s.split("|"))
+
+    if name == "sphere":
+        return Sphere(center=seq(kv["center"]), radius=float(kv["radius"]))
+    if name == "box":
+        return Box(lo=seq(kv["lo"]), hi=seq(kv["hi"]))
+    if name == "lattice":
+        period = None if kv["period"] == "none" else seq(kv["period"])
+        radius = None if kv["radius"] == "none" else float(kv["radius"])
+        raw = kv["offset"]
+        if "|" in raw:
+            offset = tuple(float(c) for c in raw.split("|") if c)
+        else:
+            offset = float(raw)
+        return SphereLattice(period=period, radius=radius, offset=offset)
+    raise ParseError(f"unknown init shape {name!r}")
 
 
 def field_to_text(f: ScalarField) -> str:

@@ -35,6 +35,7 @@ from .data import (
     kfold,
 )
 from .density import DensityPair
+from .energy import check_measure
 from .errors import DegenerateDataError, DimensionError, OfcError
 from .field import GridSpec, ScalarField
 from .metrics import (
@@ -268,6 +269,7 @@ class ExperimentSpec:
             check_positive("beta", b)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        check_measure(self.ofc_measure, self.ofc.descent)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,17 @@ tiles of about ``_TILE_NODES`` nodes, and each tile meets only the feet
 that a bound on the tile's box cannot rule out, so the cost no longer
 grows with nodes x seeds.  The sign of u is preserved at every node, so
 the classifier is unchanged.
+
+TrainConfig has one text form, derived from its fields and annotations by
+:func:`config_to_text` and :func:`config_from_text`.  ``train`` resolves
+the config once; its trace header and its model both record that snapshot.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+import operator
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -42,6 +47,8 @@ from .field import (
     SphereLattice,
     init_shape,
     laplacian,
+    shape_from_text,
+    shape_to_text,
 )
 from .metrics import check_positive
 
@@ -99,6 +106,11 @@ class TrainConfig:
     descent: str = "derivative"
 
     def __post_init__(self):
+        # a number field holds a Python number, so its text depends on the value alone
+        for name, parse in CONFIG_PARSERS.items():
+            v = getattr(self, name)
+            if v is not None and parse in (float, int):
+                object.__setattr__(self, name, float(v) if parse is float else operator.index(v))
         check_positive("beta", self.beta)
         for name in ("dt", "lam", "eps_h", "tol"):
             v = getattr(self, name)
@@ -118,6 +130,35 @@ class TrainConfig:
             )
         if self.descent not in ("derivative", "G"):
             raise ValueError(f"descent must be 'derivative' or 'G', got {self.descent!r}")
+
+
+# TrainConfig field -> parser of its text form, in field order, by annotation
+_HINTS = get_type_hints(TrainConfig)
+_PARSE = {float: float, int: int, str: str, InitShape: shape_from_text}
+CONFIG_PARSERS = {f.name: _PARSE[_HINTS[f.name]] for f in fields(TrainConfig)}
+
+
+def config_to_text(cfg: TrainConfig) -> dict:
+    """Every field of cfg in order, as text: repr for a number, a string as
+    is, "none" for None, and the shape code (None is "default") for init."""
+    text = {}
+    for name, parse in CONFIG_PARSERS.items():
+        v = getattr(cfg, name)
+        if parse is shape_from_text:
+            text[name] = shape_to_text(v)
+        elif v is None:
+            text[name] = "none"
+        else:
+            text[name] = v if parse is str else repr(v)
+    return text
+
+
+def config_from_text(text: dict) -> TrainConfig:
+    """Inverse of :func:`config_to_text`; a missing field raises KeyError."""
+    return TrainConfig(**{
+        name: None if text[name] == "none" else parse(text[name])
+        for name, parse in CONFIG_PARSERS.items()
+    })
 
 
 class TraceRecord(NamedTuple):
@@ -343,12 +384,13 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
     """
     from .classifier import TrainedClassifier, density_fingerprint
 
+    if d is not e.pair:
+        raise ValueError("the energy must be built on the densities it trains on")
     grid = d.grid
     if min(grid.resolution) < _MIN_CELLS_PER_AXIS:
         raise ValueError(
             f"training needs at least {_MIN_CELLS_PER_AXIS} cells per axis"
         )
-    lam = resolved_lambda(cfg, grid)
     restarted = False
 
     def fresh_start(init):
@@ -360,20 +402,10 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
     except VanishingPositiveMassError:
         restarted = True
         u, dt = fresh_start(SphereLattice())
-    dt0 = dt
-    header = {
-        "beta": repr(cfg.beta),
-        "k": "" if e.k is None else repr(e.k),
-        "measure": e.kind,
-        "descent": cfg.descent,
-        "dt": repr(dt),
-        "lambda": repr(lam),
-        "eps_h": repr(e.eps),
-        "tol": repr(cfg.tol),
-        "reinit_every": cfg.reinit_every,
-        "max_iter": cfg.max_iter,
-        "seed": cfg.seed,
-    }
+    # the settings this run optimises, as the model and the trace record them
+    snapshot = replace(cfg, beta=e.beta, dt=dt, lam=resolved_lambda(cfg, grid), eps_h=e.eps)
+    k = "none" if e.k is None else repr(e.k)
+    header = {"measure": e.kind, "k": k, **config_to_text(snapshot)}
 
     records: list[TraceRecord] = []
     status = "max-iter"
@@ -425,7 +457,6 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
         energy_ascent=final_energy - lowest > _ASCENT_MARGIN * abs(lowest),
         header=header,
     )
-    snapshot = replace(cfg, dt=dt0, lam=lam, eps_h=e.eps)
     model = TrainedClassifier(
         u=u,
         kind=e.kind,

@@ -1,4 +1,6 @@
 """End-to-end model: fit, predict, frontier export, persistence."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -326,6 +328,54 @@ def test_save_load_preserves_init_shapes(tmp_path):
         path = tmp_path / f"m{n}.ofc"
         save(model, path)
         assert load(path).config.init == shape
+
+
+def test_save_load_save_is_byte_stable(tmp_path):
+    data = gen_toy1d(seed=1).subset(np.arange(0, 51000, 100))
+    cfg = TrainConfig(beta=2, lam=0, tol=1, resolution=16, max_iter=np.int64(5))
+    model, _ = fit(data, cfg)
+    first, second = tmp_path / "first.ofc", tmp_path / "second.ofc"
+    save(model, first)
+    save(load(first), second)
+    assert second.read_bytes() == first.read_bytes()
+    assert "\nbeta=2.0\n" in first.read_text()
+    assert "\nconfig.beta=2.0\n" in first.read_text()
+
+
+# Version-1 model files, each from a 20-iteration fit at resolution 16 on
+# every 100th point of gen_toy1d(seed=1), written before the model writer,
+# reader and trace header shared one text form of TrainConfig.
+GOLDEN = Path(__file__).resolve().parent / "data"
+_LAM, _EPS = 0.028161997991661122, 0.7960181874884362
+GOLDEN_V1 = {
+    "default": ("f_measure", TrainConfig(
+        dt=1.0231411477022, lam=_LAM, eps_h=_EPS, reinit_every=5, max_iter=20,
+        resolution=16)),
+    "sphere": ("f_measure", TrainConfig(
+        beta=2.0, dt=0.39784097682226927, lam=_LAM, eps_h=_EPS, max_iter=20,
+        resolution=16, init=Sphere(center=(1.2896599559483888,), radius=1.768929305529858),
+        seed=4, descent="G")),
+    "box": ("f_measure", TrainConfig(
+        dt=0.001, lam=0.0, eps_h=_EPS, tol=1e-4, max_iter=20, resolution=16,
+        init=Box(lo=(-2.2481986551113273,), hi=(1.2896599559483888,)))),
+    "lattice": ("f_measure", TrainConfig(
+        beta=0.5, dt=1.0317708320581054, lam=_LAM, eps_h=0.75, max_iter=20, resolution=16,
+        init=SphereLattice(period=(1.768929305529858,), radius=0.5, offset=(0.125,)))),
+    "accuracy": ("accuracy", TrainConfig(
+        dt=0.0035257068060467337, lam=_LAM, eps_h=_EPS, max_iter=20, resolution=16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_V1))
+def test_golden_v1_model_loads_and_resaves_byte_identically(tmp_path, name):
+    path = GOLDEN / f"v1_{name}.ofc"
+    model = load(path)
+    kind, config = GOLDEN_V1[name]
+    assert model.kind == kind and (model.k is None) == (kind == "accuracy")
+    assert model.config == config
+    assert model.beta == config.beta
+    save(model, tmp_path / "again.ofc")
+    assert (tmp_path / "again.ofc").read_bytes() == path.read_bytes()
 
 
 def test_load_rejects_truncated_file(toy_fit, tmp_path):

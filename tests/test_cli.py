@@ -393,6 +393,19 @@ def test_eval_non_finite_beta_is_usage_error(tmp_path, separable_csv, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("keys", [
+    {"classifiers": "ofc", "measure": "gini"},
+    {"classifiers": "ofc,nb", "measure": "gini"},
+    {"classifiers": "ofc", "measure": "accuracy", "descent": "G"},
+])
+def test_eval_bad_measure_is_usage_error(tmp_path, separable_csv, capsys, keys):
+    cfg = eval_config(tmp_path / "exp.cfg", separable_csv, **keys)
+    out = tmp_path / "s.csv"
+    assert run("eval", "--config", cfg, "--out", out) == 1
+    assert "cell failed" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_subsample_below_one_is_usage_error(tmp_path, separable_csv):
     cfg = eval_config(tmp_path / "exp.cfg", separable_csv, subsample=0)
     assert run("eval", "--config", cfg, "--out", tmp_path / "s.csv") == 1

@@ -29,6 +29,7 @@ from ofc.field import (
 from ofc.solver import (
     TrainConfig,
     auto_time_step,
+    config_to_text,
     default_resolution,
     has_sign_change,
     reinitialize,
@@ -702,7 +703,7 @@ def test_trace_csv_layout(toy):
     _, trace = train(pair, energy, cfg)
     lines = trace.to_csv().splitlines()
     header = [l for l in lines if l.startswith("# ")]
-    for key in ("beta=", "measure=", "descent=", "dt=", "lambda=", "eps_h=",
+    for key in ("beta=", "measure=", "descent=", "dt=", "lam=", "eps_h=",
                 "tol=", "reinit_every=", "max_iter=", "seed=", "status=",
                 "restarted=", "final_dt=", "final_energy=", "dt_halvings=",
                 "stationarity_residual=", "energy_ascent="):
@@ -715,6 +716,27 @@ def test_trace_csv_layout(toy):
     assert re_flag in ("0", "1")
     # iteration 2 and 4 hit the cadence
     assert [r.reinit for r in trace.records] == [False, True, False, True, False]
+
+
+def test_trace_header_and_model_config_record_the_energy_beta(toy):
+    pair, eps = toy
+    energy = MeasureEnergy(pair, eps=eps, beta=3.0)
+    model, trace = train(pair, energy, TrainConfig(init=RIGHT_BOX, max_iter=5))
+    assert model.beta == model.config.beta == 3.0
+    assert model.config.eps_h == eps
+    assert model.config.lam == resolved_lambda(TrainConfig(), pair.grid)
+    assert trace.header == {
+        "measure": "f_measure", "k": repr(energy.k), **config_to_text(model.config),
+    }
+    assert "# beta=3.0" in trace.to_csv().splitlines()
+
+
+def test_train_rejects_an_energy_built_on_other_densities(toy):
+    pair, eps = toy
+    swapped = DensityPair(f_pos=pair.f_neg, f_neg=pair.f_pos,
+                          p_count=pair.p_count, n_count=pair.n_count)
+    with pytest.raises(ValueError, match="densities"):
+        train(swapped, MeasureEnergy(pair, eps=eps), TrainConfig(init=RIGHT_BOX, max_iter=5))
 
 
 def test_train_is_deterministic(toy):
