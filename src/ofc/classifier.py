@@ -13,6 +13,7 @@ holds too.
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -86,14 +87,19 @@ def fit(
 
     ``densities`` reuses a pair from :func:`densities_for` on the same
     data and resolution (``bandwidth`` is then unused) instead of
-    estimating it again.  Returns (TrainedClassifier, EvolutionTrace).
+    estimating it again.  Returns (TrainedClassifier, EvolutionTrace); the
+    trace's ``phase_seconds`` gains the KDE time as "kde" (0 on reuse).
     """
     if cfg is None:
         cfg = TrainConfig()
+    start = time.perf_counter()
     pair = densities if densities is not None else densities_for(data, cfg, bandwidth)
+    kde_s = time.perf_counter() - start
     eps = cfg.eps_h if cfg.eps_h is not None else 1.5 * max(pair.grid.spacing)
     energy = MeasureEnergy(pair, eps=eps, kind=measure, beta=cfg.beta)
-    return train(pair, energy, cfg)
+    model, trace = train(pair, energy, cfg)
+    trace.phase_seconds = {"kde": kde_s, **trace.phase_seconds}
+    return model, trace
 
 
 class PredictionResult(NamedTuple):

@@ -209,9 +209,12 @@ def _cmd_train(args) -> int:
         f"{len(trace.records)} iterations, energy {trace.final_energy:.6g}; "
         f"dt halvings {trace.dt_halvings}, stationarity residual "
         f"{trace.stationarity_residual:.3g}, energy ascent "
-        f"{'yes' if trace.energy_ascent else 'no'}",
+        f"{'yes' if trace.energy_ascent else 'no'}; returned the field of iteration "
+        f"{trace.best_iteration}, sign-pattern energy {trace.sign_pattern_energy:.6g}",
         file=sys.stderr,
     )
+    seconds = ", ".join(f"{phase} {s:.3g}" for phase, s in trace.phase_seconds.items())
+    print(f"seconds: {seconds}", file=sys.stderr)
     if model.degenerate:
         raise DegenerateModelError(
             f"the field in {args.out} never changes sign: the model answers one class"

@@ -25,6 +25,10 @@ one flow for every measure given g and its partials (g_C must not vanish).
 For F-beta a cheaper surrogate "G" is also available: A**2 times the
 variation with k replaced by beta**2, which has the same zero set.
 
+Taking A, B and C over {u >= 0} instead of through H gives the
+sign-pattern energy: the measure that the classifier sign(u) attains on
+the densities.  Training stops on it and keeps the field that scores best.
+
 The training loop evaluates these on every iteration, so each is written
 as few whole-grid passes.  With H = 1/2 + arctan(u/eps)/pi, the three
 fractions come from one weighted sum S+/- of arctan(u/eps) against the
@@ -173,6 +177,24 @@ class MeasureEnergy:
         # A**2 times the F-beta variation at k = beta**2
         _, (g_a, g_b, g_c) = _f_beta(self.beta**2, a, b, c)
         return self._flow(u, a * a * (g_a - g_b), a * a * g_c)
+
+    def sign_pattern_energy(self, u: ScalarField, descent: str = "derivative") -> float:
+        """g(A, B, C) of the objective ``descent`` minimizes, with A, B and C
+        taken over {u >= 0} instead of through the smoothed step.
+
+        This is the measure the classifier sign(u) attains on the densities,
+        so it does not change when u is redistanced.  "derivative" scores
+        the energy's own measure and "G" F-beta at k = beta**2.  A field
+        holding none of the positive mass scores inf under F-beta.
+        """
+        a, c = (self._weighted @ (u.values >= 0).ravel()).tolist()
+        b = 2.0 * self._half_mass[0] - a
+        try:
+            if descent == "G":
+                return _f_beta(self.beta**2, a, b, c)[0]
+            return _MEASURES[self.kind](self, a, b, c)[0]
+        except VanishingPositiveMassError:
+            return math.inf
 
     def stationarity_residual(self, u: ScalarField, fractions: tuple = None) -> float:
         """Largest gradient magnitude on the active band around the zero set.

@@ -5,9 +5,18 @@ The decision field evolves by explicit descent steps
     u <- u - dt * (descent_direction - lambda * laplacian(u))
 
 with a CFL-like guard (a step moving any node by more than 10 cell widths
-is rejected and dt halved), periodic rebuilding of u as a signed distance
-function, and convergence declared when the sup-norm update stays below
-tol for 5 consecutive iterations.
+is rejected and dt halved) and periodic rebuilding of u as a signed
+distance function, every ``reinit_every`` iterations.  Two rules declare
+convergence:
+
+- the sup-norm update stays below tol for 5 consecutive iterations;
+- a redistanced field scores strictly higher than the best one so far.
+
+The score is the sign-pattern energy
+(:meth:`~ofc.energy.MeasureEnergy.sign_pattern_energy`), the measure that
+the classifier sign(u) attains, so redistancing does not change it.  The
+run keeps the lowest-scoring redistanced field and returns it, unless the
+final field scores as low or lower; a restart forgets the kept field.
 
 Reinitialization is a closest-point transform.  It locates the zero
 crossings exactly on grid edges and gives each node next to one (a seed)
@@ -29,7 +38,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+import time
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -53,9 +63,6 @@ from .field import (
 from .metrics import check_positive
 
 _CONSECUTIVE_FOR_CONVERGENCE = 5
-# the trace flags an energy ascent when the returned field's energy is above
-# the lowest recorded one by more than this fraction of it
-_ASCENT_MARGIN = 1e-3
 _MAX_DT_HALVINGS = 80
 _MIN_CELLS_PER_AXIS = 4
 # reinitialize searches a grid of up to this many (nodes x seeds) pairs as
@@ -91,6 +98,11 @@ class TrainConfig:
     the initial descent direction (dt = 0.5 * min spacing / max |descent|).
     resolution=None picks the per-dimension default.  init=None starts
     from the default sphere lattice.
+
+    A run stops at max_iter, after 5 consecutive updates below tol, or at
+    the first redistancing whose field scores above the best redistanced
+    field so far on the sign-pattern energy.  reinit_every is therefore
+    also the period of that check.
     """
 
     beta: float = 1.0
@@ -168,14 +180,26 @@ class TraceRecord(NamedTuple):
     reinit: bool
 
 
+class _Checkpoint(NamedTuple):
+    """A redistanced field, its sign-pattern energy and its evaluation."""
+
+    score: float
+    iteration: int
+    u: ScalarField
+    energy: float
+    fractions: tuple
+
+
 @dataclass
 class EvolutionTrace:
     """Per-iteration history of one training run plus resolved settings.
 
     The diagnostics describe the returned field and the whole run: its
     energy, its largest gradient on the band around its zero set, how
-    often the step guard halved dt, and whether the energy ended above
-    the run's lowest recorded energy.
+    often the step guard halved dt, the iteration and sign-pattern energy
+    of the returned field, and whether the run's last field scored above
+    it.  ``phase_seconds`` holds wall times per phase; being timings, they
+    stay out of :meth:`to_csv` and out of comparisons.
     """
 
     records: list[TraceRecord]
@@ -185,8 +209,12 @@ class EvolutionTrace:
     final_energy: float  # of the returned field, after its last redistancing
     dt_halvings: int
     stationarity_residual: float  # MeasureEnergy.stationarity_residual of the result
-    energy_ascent: bool  # final_energy above the lowest record's by > _ASCENT_MARGIN
+    energy_ascent: bool  # the last field's sign-pattern energy is above the returned one's
+    best_iteration: int  # the iteration that produced the returned field
+    sign_pattern_energy: float  # MeasureEnergy.sign_pattern_energy of the result
     header: dict
+    # phase -> seconds: "step", "evaluate" and "reinit" from train, "kde" from fit
+    phase_seconds: dict = field(default_factory=dict, compare=False)
 
     def to_csv(self) -> str:
         lines = [f"# {k}={v}" for k, v in self.header.items()]
@@ -197,6 +225,8 @@ class EvolutionTrace:
         lines.append(f"# dt_halvings={self.dt_halvings}")
         lines.append(f"# stationarity_residual={self.stationarity_residual!r}")
         lines.append(f"# energy_ascent={int(self.energy_ascent)}")
+        lines.append(f"# best_iteration={self.best_iteration}")
+        lines.append(f"# sign_pattern_energy={self.sign_pattern_energy!r}")
         lines.append("iteration,energy,max_update,reinit")
         for r in self.records:
             lines.append(f"{r.iteration},{r.energy!r},{r.max_update!r},{int(r.reinit)}")
@@ -378,9 +408,12 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
     """Evolve a decision field to a minimizer of the energy.
 
     Returns (TrainedClassifier, EvolutionTrace).  Hitting max_iter is
-    reported in the trace status, never raised.  If the positive region
-    loses all its density mass, training restarts once from the default
-    sphere lattice before giving up.
+    reported in the trace status, never raised.  The classifier holds the
+    final field or the best redistanced one, whichever scores lower on the
+    sign-pattern energy of the objective ``cfg.descent`` minimizes.  If the
+    positive region loses all its density mass, training restarts once
+    from the default sphere lattice before giving up.  The recorded
+    resolution is the grid's cell count when every axis shares one.
     """
     from .classifier import TrainedClassifier, density_fingerprint
 
@@ -402,8 +435,12 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
     except VanishingPositiveMassError:
         restarted = True
         u, dt = fresh_start(SphereLattice())
-    # the settings this run optimises, as the model and the trace record them
-    snapshot = replace(cfg, beta=e.beta, dt=dt, lam=resolved_lambda(cfg, grid), eps_h=e.eps)
+    # the settings this run optimises, as the model and the trace record them,
+    # with the grid's cell count when every axis shares one
+    res = grid.resolution[0] if len(set(grid.resolution)) == 1 else cfg.resolution
+    snapshot = replace(
+        cfg, beta=e.beta, dt=dt, lam=resolved_lambda(cfg, grid), eps_h=e.eps, resolution=res
+    )
     k = "none" if e.k is None else repr(e.k)
     header = {"measure": e.kind, "k": k, **config_to_text(snapshot)}
 
@@ -413,9 +450,12 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
     dt_halvings = 0
     it = 0
     fractions = None  # (A, B, C) of u once its evaluate has run
+    best = None  # the lowest-scoring redistanced field so far
+    seconds = {"step": 0.0, "evaluate": 0.0, "reinit": 0.0}
     while it < cfg.max_iter:
         it += 1
         try:
+            t0 = time.perf_counter()
             halvings = 0
             while True:
                 try:
@@ -429,8 +469,11 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
                     dt_halvings += 1
             max_update = float(np.abs(u_new.values - u.values).max())
             did_reinit = it % cfg.reinit_every == 0
+            t1 = time.perf_counter()
             u = reinitialize(u_new) if did_reinit else u_new
+            t2 = time.perf_counter()
             energy_val, fractions = e.evaluate(u, return_fractions=True)
+            t3 = time.perf_counter()
         except VanishingPositiveMassError:
             if restarted:
                 raise
@@ -438,24 +481,44 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
             u, dt = fresh_start(SphereLattice())
             fractions = None
             consecutive = 0
+            best = None
             it -= 1
             continue
+        seconds["step"] += t1 - t0
+        seconds["reinit"] += t2 - t1
+        seconds["evaluate"] += t3 - t2
         records.append(TraceRecord(it, energy_val, max_update, did_reinit))
+        if did_reinit:
+            score = e.sign_pattern_energy(u, cfg.descent)
+            if best is not None and score > best.score:
+                status = "converged"
+                break
+            best = _Checkpoint(score, it, u, energy_val, fractions)
         consecutive = consecutive + 1 if max_update < cfg.tol else 0
         if consecutive >= _CONSECUTIVE_FOR_CONVERGENCE:
             status = "converged"
             break
-    final_energy = records[-1].energy
     if not records[-1].reinit:  # the last iteration may have redistanced already
+        t0 = time.perf_counter()
         u = reinitialize(u)
-        final_energy, fractions = e.evaluate(u, return_fractions=True)
-    lowest = min(r.energy for r in records)
+        t1 = time.perf_counter()
+        energy_val, fractions = e.evaluate(u, return_fractions=True)
+        seconds["reinit"] += t1 - t0
+        seconds["evaluate"] += time.perf_counter() - t1
+        score = e.sign_pattern_energy(u, cfg.descent)
+    last = _Checkpoint(score, records[-1].iteration, u, energy_val, fractions)
+    # the final field wins a tie
+    kept = best if best is not None and best.score < last.score else last
+    u = kept.u
     trace = EvolutionTrace(
-        records, status, restarted, dt, final_energy,
+        records, status, restarted, dt, kept.energy,
         dt_halvings=dt_halvings,
-        stationarity_residual=e.stationarity_residual(u, fractions),
-        energy_ascent=final_energy - lowest > _ASCENT_MARGIN * abs(lowest),
+        stationarity_residual=e.stationarity_residual(u, kept.fractions),
+        energy_ascent=kept is not last,
+        best_iteration=kept.iteration,
+        sign_pattern_energy=kept.score,
         header=header,
+        phase_seconds=seconds,
     )
     model = TrainedClassifier(
         u=u,

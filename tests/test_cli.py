@@ -224,6 +224,21 @@ def test_train_prints_the_run_diagnostics(tmp_path, separable_csv, capsys):
     assert "energy ascent " + ("yes" if header["energy_ascent"] == "1" else "no") in err
 
 
+def test_train_prints_the_returned_field_and_phase_times(tmp_path, separable_csv, capsys):
+    trace = tmp_path / "t.csv"
+    assert run("train", "--data", separable_csv, "--out", tmp_path / "m.txt",
+               "--trace", trace, "--resolution", 16, "--max-iter", 5) == 0
+    err = capsys.readouterr().err
+    header = dict(line[2:].split("=", 1) for line in trace.read_text().splitlines()
+                  if line.startswith("# "))
+    score = float(header["sign_pattern_energy"])
+    assert (f"returned the field of iteration {header['best_iteration']}, "
+            f"sign-pattern energy {score:.6g}") in err
+    times = err.split("seconds: ", 1)[1].splitlines()[0]
+    assert [part.split()[0] for part in times.split(", ")] == ["kde", "step", "evaluate", "reinit"]
+    assert "seconds" not in trace.read_text()
+
+
 def test_frontier_of_degenerate_model_is_numerical_error(tmp_path):
     from ofc.classifier import TrainedClassifier, save
     from ofc.field import GridSpec, ScalarField

@@ -336,6 +336,34 @@ def test_vanishing_positive_mass():
     assert acc.evaluate(sunk) == pytest.approx(P_COUNT, rel=2e-3)
 
 
+def test_sign_pattern_energy_is_the_measure_of_the_sign_pattern():
+    pair = toy_pair(512)
+    x = pair.grid.axes()[0]
+    u = ScalarField(pair.grid, np.sin(1.7 * x) + 0.2 * x - 0.5)
+    w = pair.grid.spacing[0] * np.r_[0.5, np.ones(len(x) - 2), 0.5]
+    inside = u.values >= 0
+    a = (w * pair.f_pos.values)[inside].sum()
+    b = (w * pair.f_pos.values)[~inside].sum()
+    c = (w * pair.f_neg.values)[inside].sum()
+    energy = MeasureEnergy(pair, eps=0.05, beta=2.0)
+    assert energy.sign_pattern_energy(u) == pytest.approx((energy.k * b + c) / a, rel=1e-12)
+    # the G descent minimizes F-beta at k = beta**2
+    assert energy.sign_pattern_energy(u, "G") == pytest.approx((4.0 * b + c) / a, rel=1e-12)
+    acc = MeasureEnergy(pair, eps=0.05, kind="accuracy")
+    assert acc.sign_pattern_energy(u) == pytest.approx(P_COUNT * b + N_COUNT * c, rel=1e-12)
+    # only the sign counts: a rescaled field with the same signs scores the same
+    assert energy.sign_pattern_energy(u.with_values(7.0 * u.values)) == energy.sign_pattern_energy(u)
+
+
+def test_sign_pattern_energy_of_an_all_negative_field():
+    pair = toy_pair(128)
+    sunk = ScalarField(pair.grid, np.full(pair.grid.shape, -1.0))
+    assert MeasureEnergy(pair, eps=0.05).sign_pattern_energy(sunk) == math.inf
+    assert MeasureEnergy(pair, eps=0.05).sign_pattern_energy(sunk, "G") == math.inf
+    acc = MeasureEnergy(pair, eps=0.05, kind="accuracy")
+    assert acc.sign_pattern_energy(sunk) == pytest.approx(P_COUNT * integrate(pair.f_pos), rel=1e-12)
+
+
 def test_constructor_validation():
     pair = toy_pair(64)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -768,16 +769,20 @@ def test_trace_diagnostics_describe_the_returned_field(toy):
     assert f"# energy_ascent={int(trace.energy_ascent)}\n" in text
 
 
-def test_energy_ascent_flags_a_rebound():
-    # db2's energy is lowest (0.4035) at iteration 208 and ends at 0.4066
+def test_energy_ascent_flags_a_rebound(monkeypatch):
+    # db2's classifier is best at iteration 200 and scores worse at 250
     from ofc.classifier import fit
     from ofc.data import gen_db
 
+    scores = _spy_scores(monkeypatch)
     _, trace = fit(gen_db(2, seed=0), TrainConfig(resolution=64, max_iter=400))
-    energies = [r.energy for r in trace.records]
-    assert energies.index(min(energies)) + 1 == 208
-    assert trace.final_energy > 1.005 * min(energies)
+    assert trace.status == "converged"
+    assert len(trace.records) < 400
+    assert trace.records[-1].reinit
     assert trace.energy_ascent
+    assert scores[-1] > min(scores) == trace.sign_pattern_energy
+    assert trace.best_iteration == 50 * (scores.index(min(scores)) + 1)
+    assert trace.final_energy == trace.records[trace.best_iteration - 1].energy
 
 
 def test_energy_ascent_unset_while_the_energy_falls():
@@ -790,3 +795,108 @@ def test_energy_ascent_unset_while_the_energy_falls():
     assert trace.final_energy == energies[-1]
     assert not trace.energy_ascent
     assert "# energy_ascent=0\n" in trace.to_csv()
+
+
+# ---------------------------------------------------------------------------
+# stopping on the sign-pattern energy and keeping the best field
+
+
+def _spy_scores(monkeypatch) -> list:
+    """The sign-pattern energy of every field train scores, in order."""
+    scores = []
+    original = MeasureEnergy.sign_pattern_energy
+
+    def spy(self, u, descent="derivative"):
+        scores.append(original(self, u, descent))
+        return scores[-1]
+
+    monkeypatch.setattr(MeasureEnergy, "sign_pattern_energy", spy)
+    return scores
+
+
+@pytest.mark.parametrize("db", [2, 4])
+def test_returned_field_scores_lowest_of_every_checkpoint(db, monkeypatch):
+    # db2 stops on a rising score and db4 runs to max_iter
+    from ofc.classifier import densities_for, fit
+    from ofc.data import gen_db
+
+    data = gen_db(db, seed=0)
+    scores = _spy_scores(monkeypatch)
+    model, trace = fit(data, TrainConfig(resolution=64, max_iter=400))
+    assert len(scores) >= 2
+    assert all(trace.sign_pattern_energy <= s for s in scores)
+    text = trace.to_csv()
+    assert f"# sign_pattern_energy={trace.sign_pattern_energy!r}\n" in text
+    assert f"# best_iteration={trace.best_iteration}\n" in text
+    energy = MeasureEnergy(densities_for(data, model.config), eps=model.config.eps_h)
+    assert energy.sign_pattern_energy(model.u) == trace.sign_pattern_energy
+
+
+def test_falling_scores_return_the_last_field(monkeypatch):
+    from ofc.classifier import fit
+    from ofc.data import gen_db
+
+    scores = _spy_scores(monkeypatch)
+    _, trace = fit(gen_db(3, seed=0), TrainConfig(resolution=64, max_iter=100))
+    assert scores == sorted(scores, reverse=True)
+    assert trace.status == "max-iter"
+    assert trace.best_iteration == 100
+    assert not trace.energy_ascent
+
+
+@pytest.mark.parametrize("run", ["trained_accuracy", "trained_f1"])
+def test_toy_runs_converge_on_their_last_field(run, request):
+    # the acceptance 02 and 03 runs: the scores never rise, so the tol rule
+    # still stops them and the last field is returned
+    trace = request.getfixturevalue(run)[1]
+    assert trace.status == "converged"
+    assert all(r.max_update < TrainConfig().tol for r in trace.records[-5:])
+    assert trace.best_iteration == trace.records[-1].iteration
+    assert not trace.energy_ascent
+
+
+def test_restart_clears_the_kept_field(toy, monkeypatch):
+    # the lattice a restart starts from scores worse than the box's field at
+    # iteration 5, so a kept box field would stop the run at iteration 10
+    pair, eps = toy
+    original, calls = solver.step, []
+
+    def step_that_loses_the_mass_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 7:
+            raise VanishingPositiveMassError("forced")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", step_that_loses_the_mass_once)
+    scores = _spy_scores(monkeypatch)
+    cfg = TrainConfig(init=RIGHT_BOX, reinit_every=5, max_iter=12)
+    _, trace = train(pair, MeasureEnergy(pair, eps=eps), cfg)
+    assert trace.restarted
+    assert scores[1] > scores[0]
+    assert trace.status == "max-iter"
+    assert trace.best_iteration > 7
+
+
+def test_model_records_the_cell_count_of_the_grid_it_trained_on():
+    from ofc.classifier import densities_for, fit
+    from ofc.data import gen_toy1d
+
+    data = gen_toy1d(seed=1).subset(np.arange(0, 51000, 100))
+    pair = densities_for(data, TrainConfig(resolution=256))
+    energy = MeasureEnergy(pair, eps=1.5 * pair.grid.spacing[0])
+    model, trace = train(pair, energy, TrainConfig(max_iter=5))
+    assert model.config.resolution == 256
+    assert trace.header["resolution"] == "256"
+    refit, _ = fit(data, model.config)
+    assert refit.grid.resolution == (256,)
+
+
+def test_trace_times_each_phase_outside_its_text():
+    from ofc.classifier import fit
+    from ofc.data import gen_db
+
+    _, trace = fit(gen_db(4, seed=0), TrainConfig(resolution=32, max_iter=60))
+    assert list(trace.phase_seconds) == ["kde", "step", "evaluate", "reinit"]
+    assert all(s > 0.0 for s in trace.phase_seconds.values())
+    assert "kde" not in trace.to_csv() and "seconds" not in trace.to_csv()
+    assert trace == replace(trace, phase_seconds={})
