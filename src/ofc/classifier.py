@@ -27,7 +27,14 @@ from .errors import (
     ModelFormatError,
     VersionMismatchError,
 )
-from .field import GridSpec, ScalarField, field_from_text, field_to_text, interpolate
+from .field import (
+    GridSpec,
+    ScalarField,
+    edge_crossings,
+    field_from_text,
+    field_to_text,
+    interpolate,
+)
 from .solver import TrainConfig, config_from_text, config_to_text, default_resolution, train
 
 _FORMAT_NAME = "ofc-model"
@@ -124,9 +131,11 @@ def predict(m: TrainedClassifier, points) -> np.ndarray:
 def frontier(m: TrainedClassifier):
     """The zero level set of the decision field, in feature coordinates.
 
-    1-D: sorted list of threshold floats.  2-D: list of polylines, each an
-    (n, 2) array, closed loops repeating their first vertex.  Higher
-    dimensions: one (n, dim) array of sign-change edge midpoints.
+    It crosses the grid edges whose nodes differ in predicted class, u = 0
+    counting as positive.  1-D: sorted list of threshold floats.  2-D: list
+    of polylines, each an (n, 2) array, closed loops repeating their first
+    vertex.  Higher dimensions: one (n, dim) array of the crossed edges'
+    midpoints.
     """
     if m.degenerate:
         raise DegenerateModelError("decision field never changes sign")
@@ -137,33 +146,20 @@ def frontier(m: TrainedClassifier):
     return _edge_midpoints(m.u)
 
 
+def _edge_points(u: ScalarField, axes: list, axis: int, midpoints: bool = False):
+    """The mask of the grid edges along ``axis`` that the class boundary
+    crosses (:func:`~ofc.field.edge_crossings`), and on those, in C order,
+    its (n, dim) linearly interpolated points, or the edges' midpoints."""
+    _, _, cross, t = edge_crossings(u.values, axis)
+    nodes = np.nonzero(cross)
+    points = np.stack([x[i] for x, i in zip(axes, nodes)], axis=-1)
+    x0, x1 = axes[axis][nodes[axis]], axes[axis][nodes[axis] + 1]
+    points[:, axis] = 0.5 * (x0 + x1) if midpoints else x0 + t * (x1 - x0)
+    return cross, points
+
+
 def _thresholds_1d(u: ScalarField) -> list:
-    x = u.grid.axes()[0]
-    v = u.values
-    out = []
-    for i in range(len(v) - 1):
-        a, b = v[i], v[i + 1]
-        if a == 0.0:
-            out.append(float(x[i]))
-        elif (a > 0) != (b > 0) and b != 0.0:
-            t = a / (a - b)
-            out.append(float(x[i] + t * (x[i + 1] - x[i])))
-    if v[-1] == 0.0:
-        out.append(float(x[-1]))
-    return sorted(set(out))
-
-
-def _edge_zeros(x0, x1, y0, y1, a, b):
-    """Zero crossings of u on grid edges from (x0, y0), value a, to (x1, y1), value b.
-
-    All six arguments broadcast against each other.  The point is linear
-    interpolation at ``t = a / (a - b)``, or the edge midpoint when
-    ``a == b``; the result has shape ``a.shape + (2,)``.
-    """
-    den = a - b
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = np.where(den == 0.0, 0.5, a / den)
-    return np.stack([x0 + t * (x1 - x0), y0 + t * (y1 - y0)], axis=-1)
+    return sorted(set(_edge_points(u, u.grid.axes(), 0)[1][:, 0].tolist()))
 
 
 # Corner bits: 1=(i,j), 2=(i+1,j), 4=(i+1,j+1), 8=(i,j+1); edges 0..3 run
@@ -183,20 +179,27 @@ _CASES = np.array([
 
 
 def _marching_squares(u: ScalarField) -> list:
-    x, y = u.grid.axes()
     v = u.values
-    # zero points on the axis-0 edges (i,j)-(i+1,j) and axis-1 edges (i,j)-(i,j+1)
-    xs, ys = x[:, None], y[None, :]
-    on_x = _edge_zeros(xs[:-1], xs[1:], ys, ys, v[:-1, :], v[1:, :])
-    on_y = _edge_zeros(xs, xs, ys[:, :-1], ys[:, 1:], v[:, :-1], v[:, 1:])
+    axes = u.grid.axes()
+    # boundary points on the crossed axis-0 edges (i,j)-(i+1,j) and axis-1
+    # edges (i,j)-(i,j+1); the cases below read no other edge
+    on = []
+    for ax in (0, 1):
+        cross, points = _edge_points(u, axes, ax)
+        full = np.zeros(cross.shape + (2,))
+        full[cross] = points
+        on.append(full)
+    on_x, on_y = on
     # edges 0..3 of every cell, cells in row-major order
     edges = np.stack([on_x[:, :-1], on_y[1:, :], on_x[:, 1:], on_y[:-1, :]]).reshape(4, -1, 2)
     c00, c10, c11, c01 = v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]
     case = (
         (c00 >= 0) * 1 + (c10 >= 0) * 2 + (c11 >= 0) * 4 + (c01 >= 0) * 8
     ).ravel()
-    # saddle split by the sign of the corner average, summed in corner order
-    centre_neg = ((((c00 + c10) + c11) + c01) < 0).ravel()
+    # saddle split by the sign of the corner average, summed in corner order;
+    # quarter values keep the sum finite and, being exact, its sign
+    w = 0.25 * v
+    centre_neg = ((((w[:-1, :-1] + w[1:, :-1]) + w[1:, 1:]) + w[:-1, 1:]) < 0).ravel()
     swap = ((case == 5) | (case == 10)) & centre_neg
     case[swap] = 15 - case[swap]
     cells = np.flatnonzero((case != 0) & (case != 15))
@@ -243,20 +246,8 @@ def _stitch(segments: list) -> list:
 
 
 def _edge_midpoints(u: ScalarField) -> np.ndarray:
-    grid = u.grid
-    mesh = grid.mesh()
-    v = u.values
-    points = []
-    for ax in range(grid.dim):
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[ax], hi[ax] = slice(None, -1), slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
-        a, b = v[lo], v[hi]
-        cross = (a >= 0) != (b >= 0)
-        mid = [0.5 * (c[lo][cross] + c[hi][cross]) for c in mesh]
-        points.append(np.stack(mid, axis=-1))
-    return np.concatenate(points, axis=0)
+    axes = u.grid.axes()
+    return np.concatenate([_edge_points(u, axes, ax, midpoints=True)[1] for ax in range(len(axes))])
 
 
 def frontier_csv(m: TrainedClassifier) -> str:

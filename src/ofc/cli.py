@@ -42,7 +42,7 @@ from .errors import (
     NumericalError,
     ParseError,
 )
-from .energy import _MEASURES
+from .energy import _DESCENTS, _MEASURES
 from .field import write_pgm
 from .harness import ExperimentSpec, run_experiment
 from .solver import CONFIG_PARSERS, TrainConfig
@@ -294,7 +294,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="step smoothing width (default: 1.5 * max spacing)")
     p.add_argument("--tol", type=float,
                    help="stop when the max nodal update falls below this")
-    p.add_argument("--descent", choices=("derivative", "G"),
+    p.add_argument("--descent", choices=_DESCENTS,
                    help="descent direction: energy derivative or the G surrogate")
     p.add_argument("--bandwidth", type=float,
                    help="kernel bandwidth override for both class densities")

@@ -77,11 +77,14 @@ _MEASURES = {
 }
 
 
+_DESCENTS = ("derivative", "G")  # the measure's own derivative, F-beta's surrogate
+
+
 def check_measure(kind: str, descent: str = "derivative") -> None:
     """Raise ValueError unless ``kind`` is a measure that ``descent`` applies to."""
     if kind not in _MEASURES:
         raise ValueError(f"unknown energy kind {kind!r}")
-    if descent not in ("derivative", "G"):
+    if descent not in _DESCENTS:
         raise ValueError(f"unknown descent kind {descent!r}")
     if descent == "G" and kind != "f_measure":
         raise ValueError("descent kind 'G' only applies to the f_measure energy")

@@ -2,8 +2,8 @@
 
 Everything downstream (densities, energies, the gradient flow) lives on
 one of these grids, so this module owns the quadrature, interpolation,
-finite-difference stencils, signed-distance initializations and the text
-serialization formats.
+finite-difference stencils, the class boundary's crossings of the grid
+edges, signed-distance initializations and the text serialization formats.
 
 The Laplacian runs on every training step, on grids small enough that
 each whole-array numpy call costs about as much as the arithmetic in it.
@@ -299,6 +299,26 @@ def gradient_magnitude(f: ScalarField) -> ScalarField:
     if grid.dim == 1:
         parts = [parts]
     return ScalarField(grid, np.sqrt(sum(p**2 for p in parts)))
+
+
+def edge_crossings(values: np.ndarray, axis: int) -> tuple:
+    """Where the class boundary, ``u >= 0`` against ``u < 0``, crosses the
+    grid edges along ``axis``: ``(lo, hi, cross, t)``.
+
+    lo and hi index each edge's lower and upper node, cross marks the edges
+    whose nodes differ in class, and on those, in C order, u interpolates
+    to 0 at the fraction ``t = a / (a - b)`` of the way from the lower node
+    (value a) to the upper one (value b): 0 at a zero lower node, 1 at a
+    zero upper one.  Halving a and b keeps ``a - b`` finite.
+    """
+    lead = (slice(None),) * axis
+    lo, hi = lead + (slice(None, -1),), lead + (slice(1, None),)
+    positive = values >= 0
+    cross = positive[lo] != positive[hi]
+    a, b = values[lo][cross], values[hi][cross]
+    # v - v / 2 is v / 2 exactly for a normal v, and is not 0 for any v != 0
+    a, b = a - 0.5 * a, b - 0.5 * b
+    return lo, hi, cross, a / (a - b)
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,6 @@ class ConfusionCounts:
         return self.tp + self.fp + self.fn + self.tn
 
 
-CSV_HEADER = "beta,f_beta_pct,accuracy_pct,recall_pct,precision_pct,epsilon"
-
-
 @dataclass
 class MetricsReport:
     """Sensitivity measures for one confusion table at one beta."""
@@ -66,14 +63,6 @@ class MetricsReport:
     precision: float
     epsilon: float
     degenerate: bool = False
-
-    def to_csv_row(self) -> str:
-        """Percentages with two decimals, one row matching CSV_HEADER."""
-        eps = "inf" if np.isinf(self.epsilon) else f"{self.epsilon:.6g}"
-        return (
-            f"{self.beta!r},{100 * self.f_beta:.2f},{100 * self.accuracy:.2f},"
-            f"{100 * self.recall:.2f},{100 * self.precision:.2f},{eps}"
-        )
 
 
 def check_positive(name: str, value: float) -> None:

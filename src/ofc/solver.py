@@ -18,9 +18,10 @@ the classifier sign(u) attains, so redistancing does not change it.  The
 run keeps the lowest-scoring redistanced field and returns it, unless the
 final field scores as low or lower; a restart forgets the kept field.
 
-Reinitialization is a closest-point transform.  It locates the zero
-crossings exactly on grid edges and gives each node next to one (a seed)
-a foot point: the nearest point of the plane through its crossings.
+Reinitialization is a closest-point transform.  Its seeds are the nodes
+on grid edges that cross the class boundary (:func:`~ofc.field.edge_crossings`),
+and each seed gets a foot point: the nearest point of the plane through
+the zero crossings on its edges.
 Every other node then takes the distance to its nearest foot, found
 exactly by one search that compares nodes with feet through one small
 matrix product per chunk of nodes.  Up to ``_EXACT_MAX_PAIRS`` (nodes x
@@ -45,7 +46,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .density import DensityPair
-from .energy import MeasureEnergy
+from .energy import _DESCENTS, MeasureEnergy
 from .errors import (
     GridMismatchError,
     StepRejectedError,
@@ -55,6 +56,7 @@ from .field import (
     InitShape,
     ScalarField,
     SphereLattice,
+    edge_crossings,
     init_shape,
     laplacian,
     shape_from_text,
@@ -68,13 +70,13 @@ _MIN_CELLS_PER_AXIS = 4
 # reinitialize searches a grid of up to this many (nodes x seeds) pairs as
 # one tile and splits a larger one into tiles.  Below it tiles do not pay:
 # one tile takes 0.71 ms and tiles 1.09 ms on cv-sized 33^2 fields.  Median
-# ms of one whole call on 2 cores, jump flooding (before) and tiles (after):
-#   2-D 129^2, sine field,         1,293 seeds:    21   ->  11
-#   2-D 257^2, sine field,         2,591 seeds:   121   ->  44
-#   1-D 20,001 nodes, sine field,  2,062 seeds:     6.5 ->   7.0
-#   3-D  33^3, fit3d torus field,    844 seeds:   118   ->  42
-#   3-D  65^3, default lattice,   31,232 seeds:  1074   -> 723
-#   3-D  65^3, torus data field,  24,241 seeds:  1359   -> 643
+# ms of one whole tiled call on 2 cores:
+#   2-D 129^2, sine field,         1,293 seeds:   11
+#   2-D 257^2, sine field,         2,591 seeds:   44
+#   1-D 20,001 nodes, sine field,  2,062 seeds:    7.0
+#   3-D  33^3, fit3d torus field,    844 seeds:   42
+#   3-D  65^3, default lattice,   31,232 seeds:  723
+#   3-D  65^3, torus data field,  24,241 seeds:  643
 _EXACT_MAX_PAIRS = 1 << 24
 # elements of the (nodes x feet) product formed at a time
 _EXACT_CHUNK = 1 << 16
@@ -140,8 +142,8 @@ class TrainConfig:
             raise ValueError(
                 f"resolution must be at least {_MIN_CELLS_PER_AXIS} cells per axis"
             )
-        if self.descent not in ("derivative", "G"):
-            raise ValueError(f"descent must be 'derivative' or 'G', got {self.descent!r}")
+        if self.descent not in _DESCENTS:
+            raise ValueError(f"descent must be one of {_DESCENTS}, got {self.descent!r}")
 
 
 # TrainConfig field -> parser of its text form, in field order, by annotation
@@ -290,22 +292,16 @@ def has_sign_change(u: ScalarField) -> bool:
 
 def _axis_crossing_offsets(values: np.ndarray, spacing) -> list[np.ndarray]:
     """Per axis: each node's signed offset along that axis to the nearer
-    zero crossing on its two incident edges (inf when neither edge crosses)."""
+    boundary crossing on its two incident edges (inf when neither crosses)."""
     out = []
-    for ax in range(values.ndim):
-        lo = [slice(None)] * values.ndim
-        hi = [slice(None)] * values.ndim
-        lo[ax], hi[ax] = slice(None, -1), slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
-        a, b = values[lo], values[hi]
-        cross = ((a > 0) != (b > 0)) | (a == 0) | (b == 0)
-        t = np.divide(a, a - b, out=np.zeros_like(a), where=a != b)
-        h = spacing[ax]
-        far = np.where(b == 0, 0.0, (1.0 - t) * h)
+    for ax, h in enumerate(spacing):
+        lo, hi, cross, t = edge_crossings(values, ax)
         off = np.full(values.shape, np.inf)
-        off[lo] = np.where(cross, t * h, np.inf)
+        off[lo][cross] = t * h
+        far = np.full(cross.shape, np.inf)
+        far[cross] = (1.0 - t) * h
         up = off[hi]
-        off[hi] = np.where(cross & (far < np.abs(up)), -far, up)
+        off[hi] = np.where(far < np.abs(up), -far, up)
         out.append(off)
     return out
 
@@ -366,7 +362,7 @@ def _plane_feet(values: np.ndarray, spacing, coords: np.ndarray):
     edges (inf on a node without any), and the feet (S, d) of the seeds, the
     nodes with such a plane, in C order."""
     with np.errstate(all="ignore"):
-        # 0 where no incident edge crosses, inf on a node where u is zero
+        # 0 where no incident edge crosses, inf where the boundary meets the node
         foot = np.stack([1.0 / o for o in _axis_crossing_offsets(values, spacing)])
         inv = (foot * foot).sum(axis=0)
         plane = 1.0 / np.sqrt(inv)

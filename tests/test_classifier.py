@@ -164,6 +164,32 @@ def test_frontier_1d_alternation():
     assert all(labels[i] != labels[i + 1] for i in range(len(labels) - 1))
 
 
+def test_frontier_1d_zero_node_counts_as_positive():
+    """Thresholds lie where predict changes class, with u = 0 positive."""
+    grid = GridSpec(bounds=((0.0, 4.0),), resolution=4)
+    for values, expected in [
+        ((-1.0, 1.0, 0.0, 1.0, 1.0), [0.5]),
+        ((1.0, -1.0, 0.0, -1.0, -1.0), [0.5, 2.0]),  # one threshold at the zero node
+    ]:
+        assert frontier(manual_model(ScalarField(grid, np.array(values)))) == expected
+
+
+def test_frontier_1d_matches_per_edge_reference():
+    grid = GridSpec(bounds=((-1.0, 2.0),), resolution=40)
+    x = grid.axes()[0]
+    rng = np.random.default_rng(6)
+    for trial in range(20):
+        # integers put exact zeros on nodes and equal values on edges
+        v = rng.integers(-2, 3, size=grid.shape).astype(float)
+        if trial % 2:
+            v = v * rng.uniform(0.1, 1.0, size=grid.shape)
+        expected = sorted({
+            float(x[i] + v[i] / (v[i] - v[i + 1]) * (x[i + 1] - x[i]))
+            for i in range(len(v) - 1) if (v[i] >= 0) != (v[i + 1] >= 0)
+        })
+        assert frontier(manual_model(ScalarField(grid, v))) == expected
+
+
 def test_frontier_2d_circle():
     grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=129)
     mesh = grid.mesh()
@@ -198,6 +224,35 @@ def test_frontier_3d_edge_midpoints():
     r = np.sqrt((pts**2).sum(axis=1))
     cell = max(grid.spacing)
     assert np.all(np.abs(r - 0.8) <= cell)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_frontier_and_reinitialize_beyond_the_float_maximum_apart(dim):
+    """Neighbours at +-1e308 differ by more than the float maximum; the
+    boundary between them still lies half way, at x0 = 1.5."""
+    grid = GridSpec(bounds=((0.0, 4.0),) * dim, resolution=4)
+    x0 = grid.mesh()[0]
+    model = manual_model(ScalarField(grid, np.where(x0 < 1.5, 1e308, -1e308)))
+    fr = frontier(model)
+    if dim == 1:
+        assert fr == [1.5]
+    elif dim == 2:
+        assert len(fr) == 1 and (fr[0][:, 0] == 1.5).all()
+    else:
+        assert (fr[:, 0] == 1.5).all()
+    np.testing.assert_allclose(reinitialize(model.u).values, 1.5 - x0, rtol=0, atol=1e-12)
+
+
+def test_marching_squares_saddle_beyond_the_float_maximum():
+    """The corner sum of this saddle overflows; its sign is still positive,
+    so the two positive corners are cut off separately, as at small scale."""
+    grid = GridSpec(bounds=((0.0, 1.0), (0.0, 1.0)), resolution=1)
+    corners = np.array([[1.0, -0.1], [-0.1, 1.0]])
+    small = _marching_squares(ScalarField(grid, corners))
+    large = _marching_squares(ScalarField(grid, 1e308 * corners))
+    assert len(small) == len(large) == 2
+    for a, b in zip(small, large):
+        np.testing.assert_allclose(a, b, rtol=1e-15)
 
 
 def test_frontier_degenerate_model_errors():

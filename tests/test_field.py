@@ -15,6 +15,7 @@ from ofc.field import (
     ScalarField,
     Sphere,
     SphereLattice,
+    edge_crossings,
     field_from_text,
     field_to_text,
     gradient_magnitude,
@@ -259,6 +260,34 @@ class TestStencils:
         gm = gradient_magnitude(ScalarField(g, r)).values
         away = r > 8 * max(g.spacing)
         assert np.abs(gm[away] - 1.0).max() <= 0.05
+
+
+class TestEdgeCrossings:
+    def test_integer_fields(self):
+        """Random integers put exact zeros on nodes and equal values on edges."""
+        rng = np.random.default_rng(3)
+        for shape in [(40,), (9, 11), (5, 6, 7)] * 5:
+            v = rng.integers(-2, 3, size=shape).astype(float)
+            for axis in range(v.ndim):
+                lo, hi, cross, t = edge_crossings(v, axis)
+                a, b = v[lo], v[hi]
+                assert a.shape == b.shape == cross.shape
+                assert np.array_equal(np.moveaxis(a, axis, 0), np.moveaxis(v, axis, 0)[:-1])
+                assert np.array_equal(np.moveaxis(b, axis, 0), np.moveaxis(v, axis, 0)[1:])
+                assert np.array_equal(cross, (a >= 0) != (b >= 0))
+                assert t.shape == (np.count_nonzero(cross),)
+                assert ((t >= 0) & (t <= 1)).all()
+                a, b = a[cross], b[cross]
+                assert (t[a == 0] == 0).all() and (t[b == 0] == 1).all()
+                np.testing.assert_array_equal(t, a / (a - b))
+            assert (v == 0).any()
+
+    def test_ends_of_the_float_range(self):
+        tiny = 5e-324  # the smallest subnormal, whose half rounds to 0
+        v = np.array([1e308, 1e308, -1e308, -1.5e308, 0.0, -tiny, tiny, -tiny, 0.0])
+        _, _, cross, t = edge_crossings(v, 0)
+        assert cross.tolist() == [False, True, False, True, True, True, True, True]
+        assert t.tolist() == [0.5, 1.0, 0.0, 0.5, 0.5, 1.0]
 
 
 class TestInitShape:

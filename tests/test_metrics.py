@@ -7,7 +7,6 @@ from ofc.density import DensityPair
 from ofc.errors import EmptyConfusionError, GridMismatchError
 from ofc.field import GridSpec, ScalarField
 from ofc.metrics import (
-    CSV_HEADER,
     ConfusionCounts,
     MetricsReport,
     confusion_from_predictions,
@@ -104,7 +103,6 @@ def test_zero_tp_is_degenerate_not_error():
     assert m.f_beta == 0.0 and m.recall == 0.0 and m.precision == 0.0
     assert np.isinf(m.epsilon)
     assert m.accuracy == pytest.approx(0.85)
-    assert m.to_csv_row().endswith(",inf")
 
 
 def test_empty_confusion_rejected():
@@ -121,12 +119,6 @@ def test_bad_beta_rejected():
     for beta in (0.0, float("nan"), float("inf"), 1e200):
         with pytest.raises(ValueError):
             metrics_from_counts(ConfusionCounts(1.0, 1.0, 1.0, 1.0), beta=beta)
-
-
-def test_csv_row_format():
-    row = metrics_from_counts(ConfusionCounts(1.0, 1.0, 1.0, 1.0), beta=1.0).to_csv_row()
-    assert CSV_HEADER == "beta,f_beta_pct,accuracy_pct,recall_pct,precision_pct,epsilon"
-    assert row == "1.0,50.00,50.00,50.00,50.00,2"
 
 
 def test_confusion_from_predictions():

@@ -338,6 +338,33 @@ def test_reinitialize_1d_matches_nearest_crossing():
     )
 
 
+def test_reinitialize_zero_node_inside_the_positive_class():
+    """u = 0 is the positive class: a zero node among positives is no seed
+    and lies at a positive distance from the boundary."""
+    grid = GridSpec(bounds=((0.0, 4.0),), resolution=4)
+    d = reinitialize(ScalarField(grid, np.array([1.0, 0.0, 1.0, -1.0, -1.0])))
+    np.testing.assert_allclose(d.values, [2.5, 1.5, 0.5, -0.5, -1.5], rtol=0, atol=1e-12)
+
+
+def test_reinitialize_keeps_every_class_on_integer_fields():
+    rng = np.random.default_rng(4)
+    for shape in [(41,), (13, 17), (7, 8, 9)]:
+        grid = GridSpec(bounds=((-1.0, 1.0),) * len(shape), resolution=tuple(n - 1 for n in shape))
+        v = rng.integers(-2, 3, size=shape).astype(float)
+        d = reinitialize(ScalarField(grid, v)).values
+        assert np.array_equal(d >= 0, v >= 0)
+        # a zero node is at distance 0 exactly when a neighbour is negative
+        seed = np.zeros(shape, dtype=bool)
+        for ax in range(v.ndim):
+            neg = np.moveaxis(v < 0, ax, 0)
+            near = np.moveaxis(seed, ax, 0)
+            near[1:] |= neg[:-1]
+            near[:-1] |= neg[1:]
+        zero = v == 0
+        assert zero.any() and (zero & ~seed).any()
+        assert np.array_equal(d[zero] == 0, seed[zero])
+
+
 # each input has more nodes x seeds than one tile takes
 @pytest.mark.parametrize("dim, resolution, wavenumber", [
     pytest.param(1, 20000, 400, id="1-20000"),
