@@ -206,43 +206,41 @@ def _marching_squares(u: ScalarField) -> list:
     pairs = _CASES[case[cells]].reshape(-1, 2)  # two slots per cell, in cell order
     keep = pairs[:, 0] >= 0
     pairs, cell = pairs[keep], np.repeat(cells, 2)[keep]
-    ends = np.stack([edges[pairs[:, 0], cell], edges[pairs[:, 1], cell]], axis=1)
-    segments = [(tuple(p), tuple(q)) for p, q in ends.tolist()]
-    return _stitch(segments)
+    return _stitch(np.stack([edges[pairs[:, 0], cell], edges[pairs[:, 1], cell]], axis=1))
 
 
-def _stitch(segments: list) -> list:
-    """Join shared endpoints into polylines; open chains first, then loops."""
-    by_point = {}
-    for idx, (p, q) in enumerate(segments):
-        by_point.setdefault(p, []).append(idx)
-        by_point.setdefault(q, []).append(idx)
-    used = [False] * len(segments)
+def _stitch(ends) -> list:
+    """Join segments, (S, 2, 2) end points, into polylines where they share
+    a point: open chains first, from their end points in sorted order, then
+    loops, each from the first end of its first unused segment."""
+    points = np.asarray(ends, dtype=float).reshape(-1, 2)
+    # equal points get one id; ids ascend in lexicographic point order
+    unique, ids = np.unique(points, axis=0, return_inverse=True)
+    ids = ids.ravel().tolist()
+    touching = [[] for _ in unique]  # id -> segments
+    for end, point in enumerate(ids):
+        touching[point].append(end >> 1)
+    used = [False] * (len(ids) // 2)
 
-    def walk(start_idx, start_point):
-        used[start_idx] = True
-        p, q = segments[start_idx]
-        nxt = q if p == start_point else p
-        chain = [start_point, nxt]
+    def walk(end):
+        """End indices (2 * segment + side) of the chain leaving ``end``."""
+        used[end >> 1] = True
+        chain = [end, end ^ 1]
         while True:
-            candidates = [k for k in by_point.get(chain[-1], []) if not used[k]]
-            if not candidates:
+            here = ids[chain[-1]]
+            for k in touching[here]:
+                if not used[k]:
+                    break
+            else:
                 return chain
-            k = candidates[0]
             used[k] = True
-            p, q = segments[k]
-            chain.append(q if p == chain[-1] else p)
+            chain.append(2 * k + (ids[2 * k] == here))
 
-    polylines = []
-    for point in sorted(by_point):
-        if len(by_point[point]) == 1:
-            idx = by_point[point][0]
-            if not used[idx]:
-                polylines.append(walk(idx, point))
-    for idx in range(len(segments)):
-        if not used[idx]:
-            polylines.append(walk(idx, segments[idx][0]))
-    return [np.array(chain) for chain in polylines]
+    chains = [walk(2 * segs[0] + (ids[2 * segs[0]] != point))
+              for point, segs in enumerate(touching)
+              if len(segs) == 1 and not used[segs[0]]]
+    chains += [walk(2 * k) for k in range(len(used)) if not used[k]]
+    return [points[chain] for chain in chains]
 
 
 def _edge_midpoints(u: ScalarField) -> np.ndarray:

@@ -5,6 +5,11 @@ one of these grids, so this module owns the quadrature, interpolation,
 finite-difference stencils, the class boundary's crossings of the grid
 edges, signed-distance initializations and the text serialization formats.
 
+One multilinear cell map gives, per corner of a point's cell, the flat
+node index and the weight; :func:`interpolate` gathers node values through
+it, and the KDE's linear binning (:mod:`ofc.density`) scatters sample
+weights through it.
+
 The Laplacian runs on every training step, on grids small enough that
 each whole-array numpy call costs about as much as the arithmetic in it.
 It takes one of two paths, chosen by the grid shape alone:
@@ -174,19 +179,35 @@ def interpolate(f: ScalarField, points, clamp: bool = True):
         pts = np.clip(pts, lo, hi)
     elif ((pts < lo) | (pts > hi)).any():
         raise OutOfDomainError("query point outside grid bounds")
-    h = np.asarray(grid.spacing)
-    t = (pts - lo) / h
-    base = np.minimum(np.floor(t).astype(int), np.array(grid.resolution) - 1)
-    frac = t - base
+    vals = f.values.ravel()
     out = np.zeros(len(pts))
-    for corner in product((0, 1), repeat=grid.dim):
-        w = np.ones(len(pts))
-        idx = []
-        for ax, c in enumerate(corner):
-            w *= frac[:, ax] if c else 1.0 - frac[:, ax]
-            idx.append(base[:, ax] + c)
-        out += w * f.values[tuple(idx)]
+    for index, weight in _cell_corners(((pts - lo) / np.asarray(grid.spacing)).T, grid.shape):
+        out += weight * vals[index]
     return float(out[0]) if single else out
+
+
+def _cell_corners(t, shape: tuple):
+    """The multilinear cell map of points given in cell units of a C-order
+    grid of ``shape`` nodes and lying within it; ``t[ax]`` holds their
+    coordinates along axis ``ax``.
+
+    Yields, for each corner of the unit cell in C order, each point's flat
+    C-order node index and its multilinear weight, the product of its
+    per-axis factors in axis order.  A point on an upper bound lies in the
+    last cell, at fraction 1.
+    """
+    strides = np.cumprod((1,) + tuple(shape[:0:-1]))[::-1].tolist()
+    origin, factors = 0, []
+    for x, n, stride in zip(t, shape, strides):
+        base = np.minimum(np.floor(x).astype(np.intp), n - 2)
+        frac = x - base
+        factors.append((1.0 - frac, frac))
+        origin = origin + base * stride
+    for corner in np.ndindex(*(2,) * len(shape)):
+        weight = factors[0][corner[0]]
+        for factor, c in zip(factors[1:], corner[1:]):
+            weight = weight * factor[c]
+        yield origin + np.dot(corner, strides), weight
 
 
 def laplacian(f: ScalarField) -> ScalarField:

@@ -36,7 +36,7 @@ from .data import (
 )
 from .density import DensityPair
 from .energy import check_measure
-from .errors import DegenerateDataError, DimensionError, OfcError
+from .errors import DegenerateDataError, DegenerateModelError, DimensionError, OfcError
 from .field import GridSpec, ScalarField
 from .metrics import (
     ConfusionCounts,
@@ -306,14 +306,17 @@ class SummaryRow:
     folds_used: int
 
 
-RAW_HEADER = (
-    "classifier,beta,repetition,fold,tp,fn,fp,tn,"
-    "f_beta_pct,accuracy_pct,recall_pct,precision_pct"
+# the MetricsReport fields the tables report, in column order, and the
+# SummaryRow fields of their mean and std across repetitions
+_REPORTED = ("f_beta", "accuracy", "recall", "precision")
+_SUMMARIZED = tuple(f"{name}_{stat}" for name in _REPORTED for stat in ("mean", "std"))
+
+RAW_HEADER = ",".join(
+    ["classifier", "beta", "repetition", "fold", "tp", "fn", "fp", "tn"]
+    + [f"{name}_pct" for name in _REPORTED]
 )
-SUMMARY_HEADER = (
-    "classifier,beta,f_beta_mean_pct,f_beta_std_pct,accuracy_mean_pct,"
-    "accuracy_std_pct,recall_mean_pct,recall_std_pct,precision_mean_pct,"
-    "precision_std_pct,folds_used"
+SUMMARY_HEADER = ",".join(
+    ["classifier", "beta"] + [f"{name}_pct" for name in _SUMMARIZED] + ["folds_used"]
 )
 
 
@@ -341,31 +344,16 @@ class ExperimentResult:
                     per_rep.append(
                         [
                             float(np.mean([getattr(r, m) for r in fold_reports]))
-                            for m in ("f_beta", "accuracy", "recall", "precision")
+                            for m in _REPORTED
                         ]
                     )
                 arr = np.array(per_rep)
-                means = [float(v) for v in arr.mean(axis=0)]
-                stds = (
-                    [float(v) for v in arr.std(axis=0, ddof=1)]
-                    if len(per_rep) > 1
-                    else [0.0] * 4
-                )
-                rows.append(
-                    SummaryRow(
-                        classifier=clf,
-                        beta=beta,
-                        f_beta_mean=means[0],
-                        f_beta_std=stds[0],
-                        accuracy_mean=means[1],
-                        accuracy_std=stds[1],
-                        recall_mean=means[2],
-                        recall_std=stds[2],
-                        precision_mean=means[3],
-                        precision_std=stds[3],
-                        folds_used=len(cells),
-                    )
-                )
+                stds = arr.std(axis=0, ddof=1) if len(per_rep) > 1 else np.zeros(len(_REPORTED))
+                stats = np.column_stack([arr.mean(axis=0), stds]).ravel().tolist()
+                rows.append(SummaryRow(
+                    classifier=clf, beta=beta, folds_used=len(cells),
+                    **dict(zip(_SUMMARIZED, stats)),
+                ))
         return rows
 
     def raw_csv(self) -> str:
@@ -375,13 +363,12 @@ class ExperimentResult:
             RAW_HEADER,
         ]
         for o in self.outcomes:
-            c, r = o.counts, o.report
-            lines.append(
-                f"{o.classifier},{o.beta!r},{o.repetition},{o.fold},"
-                f"{c.tp!r},{c.fn!r},{c.fp!r},{c.tn!r},"
-                f"{100 * r.f_beta!r},{100 * r.accuracy!r},"
-                f"{100 * r.recall!r},{100 * r.precision!r}"
-            )
+            c = o.counts
+            lines.append(",".join(
+                [o.classifier, repr(o.beta), str(o.repetition), str(o.fold),
+                 repr(c.tp), repr(c.fn), repr(c.fp), repr(c.tn)]
+                + [repr(100 * getattr(o.report, name)) for name in _REPORTED]
+            ))
         for f in self.failures:
             lines.append(
                 f"# failed: {f.classifier},beta={f.beta!r},rep={f.repetition},"
@@ -395,14 +382,11 @@ class ExperimentResult:
             SUMMARY_HEADER,
         ]
         for s in self.summary():
-            lines.append(
-                f"{s.classifier},{s.beta!r},"
-                f"{100 * s.f_beta_mean!r},{100 * s.f_beta_std!r},"
-                f"{100 * s.accuracy_mean!r},{100 * s.accuracy_std!r},"
-                f"{100 * s.recall_mean!r},{100 * s.recall_std!r},"
-                f"{100 * s.precision_mean!r},{100 * s.precision_std!r},"
-                f"{s.folds_used}"
-            )
+            lines.append(",".join(
+                [s.classifier, repr(s.beta)]
+                + [repr(100 * getattr(s, name)) for name in _SUMMARIZED]
+                + [str(s.folds_used)]
+            ))
         return "\n".join(lines) + "\n"
 
     def sweep_csv(self) -> str:
@@ -438,6 +422,10 @@ def _run_cell(spec: ExperimentSpec, clf, beta, train_data, test_data, shared):
     if clf == "ofc":
         cfg = replace(spec.ofc, beta=beta)
         model, _ = ofc_fit(train_data, cfg, measure=spec.ofc_measure, densities=shared)
+        if model.degenerate:
+            raise DegenerateModelError(
+                "the trained field never changes sign: the model answers one class"
+            )
         predicted = ofc_predict(model, test_data.points)
     elif clf == "nb":
         predicted = shared

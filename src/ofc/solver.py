@@ -220,15 +220,12 @@ class EvolutionTrace:
 
     def to_csv(self) -> str:
         lines = [f"# {k}={v}" for k, v in self.header.items()]
-        lines.append(f"# status={self.status}")
-        lines.append(f"# restarted={int(self.restarted)}")
-        lines.append(f"# final_dt={self.final_dt!r}")
-        lines.append(f"# final_energy={self.final_energy!r}")
-        lines.append(f"# dt_halvings={self.dt_halvings}")
-        lines.append(f"# stationarity_residual={self.stationarity_residual!r}")
-        lines.append(f"# energy_ascent={int(self.energy_ascent)}")
-        lines.append(f"# best_iteration={self.best_iteration}")
-        lines.append(f"# sign_pattern_energy={self.sign_pattern_energy!r}")
+        # a footer line per diagnostic field, in field order; a float's str
+        # is its repr, and a bool is written as 0 or 1
+        for f in fields(self):
+            if f.name not in ("records", "header", "phase_seconds"):
+                value = getattr(self, f.name)
+                lines.append(f"# {f.name}={int(value) if isinstance(value, bool) else value}")
         lines.append("iteration,energy,max_update,reinit")
         for r in self.records:
             lines.append(f"{r.iteration},{r.energy!r},{r.max_update!r},{int(r.reinit)}")

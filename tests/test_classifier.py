@@ -26,7 +26,7 @@ from ofc.classifier import (
     predict_full,
     save,
 )
-from ofc.field import Box, GridSpec, ScalarField, Sphere, SphereLattice
+from ofc.field import Box, GridSpec, ScalarField, Sphere, SphereLattice, init_shape
 from ofc.solver import TrainConfig, reinitialize
 
 
@@ -344,6 +344,54 @@ def test_marching_squares_matches_per_cell_reference():
             assert a.tobytes() == b.tobytes()
     assert saddles > 100
     assert (vals == 0).any()
+
+
+def reference_stitch(segments):
+    """Chains joined through a dict keyed by end-point tuples: open chains
+    first, from their end points in sorted order, then loops."""
+    by_point = {}
+    for idx, (p, q) in enumerate(segments):
+        by_point.setdefault(p, []).append(idx)
+        by_point.setdefault(q, []).append(idx)
+    used = [False] * len(segments)
+
+    def walk(start_idx, start_point):
+        used[start_idx] = True
+        p, q = segments[start_idx]
+        chain = [start_point, q if p == start_point else p]
+        while True:
+            candidates = [k for k in by_point.get(chain[-1], []) if not used[k]]
+            if not candidates:
+                return chain
+            k = candidates[0]
+            used[k] = True
+            p, q = segments[k]
+            chain.append(q if p == chain[-1] else p)
+
+    polylines = []
+    for point in sorted(by_point):
+        if len(by_point[point]) == 1 and not used[by_point[point][0]]:
+            polylines.append(walk(by_point[point][0], point))
+    for idx in range(len(segments)):
+        if not used[idx]:
+            polylines.append(walk(idx, segments[idx][0]))
+    return [np.array(chain) for chain in polylines]
+
+
+def test_stitch_matches_the_point_dict_reference():
+    rng = np.random.default_rng(8)
+    grid = GridSpec(bounds=((-1.0, 2.0), (-0.5, 0.5)), resolution=(17, 12))
+    fields = [rng.integers(-2, 3, size=grid.shape).astype(float) for _ in range(10)]
+    ring = GridSpec(bounds=((-4.0, 4.0),) * 2, resolution=64)
+    fields.append(rng.integers(-1, 2, size=grid.shape) * rng.uniform(0.1, 1.0, size=grid.shape))
+    for vals, g in [(v, grid) for v in fields] + [(None, ring)]:
+        u = init_shape(g) if vals is None else ScalarField(g, vals)
+        segments = reference_segments(u)
+        got, expected = _stitch(segments), reference_stitch(segments)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+    assert _stitch([]) == reference_stitch([]) == []
 
 
 # ---------------------------------------------------------------------------

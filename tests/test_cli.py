@@ -452,6 +452,27 @@ def test_some_cells_failing_still_succeeds(tmp_path, separable_csv, capsys, comm
     assert capsys.readouterr().err.count("cell failed: ") == 4  # ofc's, not nb's
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep-beta"])
+def test_degenerate_models_are_failed_cells(tmp_path, separable_csv, capsys,
+                                            monkeypatch, command):
+    import ofc.harness
+
+    fit = ofc.harness.ofc_fit
+
+    def one_class_fit(*args, **kwargs):
+        model, trace = fit(*args, **kwargs)
+        return replace(model, degenerate=True), trace
+
+    monkeypatch.setattr(ofc.harness, "ofc_fit", one_class_fit)
+    for classifiers, code in (("nb,ofc", 0), ("ofc", 3)):
+        cfg = eval_config(tmp_path / "exp.cfg", separable_csv, classifiers=classifiers,
+                          repetitions=1, resolution=16, max_iter=10)
+        assert run(command, "--config", cfg, "--out", tmp_path / "out.csv") == code
+        err = capsys.readouterr().err
+        assert err.count("cell failed: ") == 4  # ofc's 2 betas x 2 folds
+        assert err.count("DegenerateModelError: ") == 4
+
+
 def test_sweep_beta_one_row_per_beta(tmp_path, separable_csv):
     cfg = eval_config(tmp_path / "exp.cfg", separable_csv, classifiers="nb",
                       repetitions=1)

@@ -3,7 +3,14 @@ import pytest
 from scipy.special import ndtr
 
 from ofc.data import LabeledDataset
-from ofc.density import DensityPair, KdeModel, density_on_grid, estimate_pair, fit_kde
+from ofc.density import (
+    DensityPair,
+    KdeModel,
+    _axis_lattice,
+    density_on_grid,
+    estimate_pair,
+    fit_kde,
+)
 from ofc.errors import DegenerateDataError, EmptyMassError, GridMismatchError
 from ofc.field import GridSpec, ScalarField, integrate
 
@@ -21,6 +28,38 @@ def naive_density(samples, bandwidth, grid):
     out /= len(samples)
     f = ScalarField(grid, out)
     return ScalarField(grid, out / integrate(f))
+
+
+def reference_density(model, grid):
+    """density_on_grid with the binning done one corner at a time, through
+    per-axis left-bin and fraction lists and np.ravel_multi_index."""
+    inside = np.ones(len(model.samples), dtype=bool)
+    lefts, fracs, lattice_shape, smoothers = [], [], [], []
+    for i, ax in enumerate(grid.axes()):
+        bins, g, std = _axis_lattice(*grid.bounds[i], grid.spacing[i], model.bandwidth[i])
+        t = (model.samples[:, i] - bins[0]) / g
+        inside &= (t >= 0) & (t <= len(bins) - 1)
+        left = np.clip(np.floor(t), 0, len(bins) - 2)
+        lefts.append(left.astype(np.intp))
+        fracs.append(t - left)
+        lattice_shape.append(len(bins))
+        z = (ax[:, None] - bins[None, :]) / std
+        smoothers.append(np.exp(-0.5 * z**2) / (std * np.sqrt(2 * np.pi)))
+    lefts = [a[inside] for a in lefts]
+    fracs = [a[inside] for a in fracs]
+    counts = np.zeros(lattice_shape)
+    flat = counts.reshape(-1)
+    for corner in np.ndindex(*(2,) * grid.dim):
+        index = np.ravel_multi_index([a + c for a, c in zip(lefts, corner)], lattice_shape)
+        weight = np.ones(len(index))
+        for frac, c in zip(fracs, corner):
+            weight *= frac if c else 1 - frac
+        flat += np.bincount(index, weight, minlength=flat.size)
+    vals = counts
+    for k in smoothers:
+        vals = np.tensordot(vals, k, axes=([0], [1]))
+    vals /= len(model.samples)
+    return vals / integrate(ScalarField(grid, vals))
 
 
 class TestFitKde:
@@ -191,6 +230,26 @@ class TestDensityOnGrid:
         f0 = density_on_grid(model, g0)
         f1 = density_on_grid(KdeModel(samples + shift, model.bandwidth), g1)
         assert np.allclose(f0.values, f1.values, atol=1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bytes_match_the_per_corner_binning_reference(self, dim):
+        rng = np.random.default_rng(50 + dim)
+        grid = GridSpec(tuple((-2.0 - i, 1.5 + 0.5 * i) for i in range(dim)),
+                        tuple(rng.integers(4, 12, dim)))
+        model = KdeModel(rng.normal(size=(300, dim)), rng.uniform(0.2, 0.8, dim))
+        lattices = [_axis_lattice(*grid.bounds[i], grid.spacing[i], model.bandwidth[i])[0]
+                    for i in range(dim)]
+        first = np.array([b[0] for b in lattices])
+        last = np.array([b[-1] for b in lattices])
+        # samples on the lattice's ends, on the grid's upper bounds, and just
+        # past the lattice (dropped)
+        edges = np.vstack([first, last, np.where(np.eye(dim, dtype=bool), last, 0.0),
+                           np.where(np.eye(dim, dtype=bool), first, 0.0),
+                           grid.maxs, last + 1e-9, first - 1e-9])
+        for samples in (model.samples, np.vstack([model.samples, edges])):
+            m = KdeModel(samples, model.bandwidth)
+            got = density_on_grid(m, grid).values
+            assert got.tobytes() == reference_density(m, grid).tobytes()
 
     def test_dimension_mismatch(self):
         samples = np.zeros((10, 2))

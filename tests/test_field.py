@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -114,7 +116,44 @@ class TestIntegrate:
         assert integrate(f) == pytest.approx(3.0 * 2.0 + 2.0, rel=1e-14)
 
 
+def reference_interpolate(f, points):
+    """Multilinear interpolation one cell corner at a time, gathering through
+    a per-axis index list per corner; points outside the grid are clamped."""
+    g = f.grid
+    pts = np.clip(np.atleast_2d(np.asarray(points, dtype=float)), g.mins, g.maxs)
+    t = (pts - g.mins) / np.asarray(g.spacing)
+    base = np.minimum(np.floor(t).astype(int), np.array(g.resolution) - 1)
+    frac = t - base
+    out = np.zeros(len(pts))
+    for corner in itertools.product((0, 1), repeat=g.dim):
+        w = np.ones(len(pts))
+        idx = []
+        for ax, c in enumerate(corner):
+            w *= frac[:, ax] if c else 1.0 - frac[:, ax]
+            idx.append(base[:, ax] + c)
+        out += w * f.values[tuple(idx)]
+    return out
+
+
 class TestInterpolate:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bytes_match_the_per_corner_reference(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        bounds = tuple((lo, lo + w) for lo, w in zip(rng.uniform(-3.0, 1.0, dim),
+                                                     rng.uniform(0.5, 4.0, dim)))
+        g = GridSpec(bounds, tuple(rng.integers(1, 9, dim)))
+        f = ScalarField(g, rng.normal(size=g.shape))
+        lo, hi = g.mins, g.maxs
+        inside = rng.uniform(lo, hi, (500, dim))
+        # every axis on its upper bound, one axis on it, and the grid's nodes
+        upper = np.vstack([hi, np.where(np.eye(dim, dtype=bool), hi, inside[:dim])])
+        nodes = np.stack([m.ravel() for m in g.mesh()], axis=1)
+        # outside on every side, to be clamped onto the boundary
+        width = hi - lo
+        outside = rng.uniform(lo - 2 * width, hi + 2 * width, (500, dim))
+        for pts in (inside, upper, nodes, outside, np.vstack([lo - 1.0, hi + 1.0])):
+            assert interpolate(f, pts).tobytes() == reference_interpolate(f, pts).tobytes()
+
     def test_bilinear_unit_cell(self):
         g = GridSpec(((0.0, 1.0), (0.0, 1.0)), (1, 1))
         f = ScalarField(g, np.array([[0.0, 0.0], [0.0, 1.0]]))

@@ -417,6 +417,39 @@ def test_experiment_density_failure_fails_every_beta_of_the_fold(monkeypatch):
     ]
 
 
+def one_class_fit(monkeypatch):
+    """Make every level-set fit in run_experiment return a one-class model."""
+    fit = ofc.harness.ofc_fit
+
+    def fake_fit(*args, **kwargs):
+        model, trace = fit(*args, **kwargs)
+        u = model.u.with_values(-np.abs(model.u.values) - 1.0)
+        return replace(model, u=u, degenerate=True), trace
+
+    monkeypatch.setattr(ofc.harness, "ofc_fit", fake_fit)
+
+
+def test_degenerate_model_fails_its_cell(monkeypatch):
+    spec = ExperimentSpec(
+        data=small_separable(40, seed=2),
+        classifiers=("ofc", "nb"),
+        repetitions=1,
+        folds=2,
+        betas=(0.5, 1.0),
+        ofc=TrainConfig(resolution=16, max_iter=10),
+        seed=3,
+    )
+    honest = run_experiment(spec)
+    one_class_fit(monkeypatch)
+    result = run_experiment(spec)
+    assert [(f.classifier, f.beta, f.fold) for f in result.failures] == [
+        ("ofc", beta, fold) for fold in range(2) for beta in (0.5, 1.0)
+    ]
+    assert all(f.message.startswith("DegenerateModelError: ") for f in result.failures)
+    assert result.outcomes == [o for o in honest.outcomes if o.classifier == "nb"]
+    assert [r.classifier for r in result.summary()] == ["nb", "nb"]
+
+
 def test_fit_on_shared_densities_matches_fit():
     from ofc.classifier import densities_for, fit
 
