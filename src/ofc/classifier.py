@@ -125,7 +125,7 @@ def predict_full(m: TrainedClassifier, points) -> PredictionResult:
 
 def predict(m: TrainedClassifier, points) -> np.ndarray:
     """True where the model assigns the positive class (u >= 0)."""
-    return predict_full(m, points).labels
+    return interpolate(m.u, np.atleast_2d(points), clamp=True) >= 0
 
 
 def frontier(m: TrainedClassifier):

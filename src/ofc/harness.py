@@ -429,8 +429,9 @@ def _run_cell(spec: ExperimentSpec, clf, beta, train_data, test_data, shared):
         predicted = ofc_predict(model, test_data.points)
     elif clf == "nb":
         predicted = shared
-    else:  # oracle
-        tau, _ = threshold_oracle(train_data, beta=beta, steps=spec.oracle_steps)
+    else:  # oracle, at the threshold that maximizes the experiment's measure
+        metric = "accuracy" if spec.ofc_measure == "accuracy" else "f_beta"
+        tau, _ = threshold_oracle(train_data, beta=beta, steps=spec.oracle_steps, metric=metric)
         predicted = test_data.points[:, 0] >= tau
     return confusion_from_predictions(test_data.labels, predicted)
 

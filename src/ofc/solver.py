@@ -10,13 +10,15 @@ distance function, every ``reinit_every`` iterations.  Two rules declare
 convergence:
 
 - the sup-norm update stays below tol for 5 consecutive iterations;
-- a redistanced field scores strictly higher than the best one so far.
+- a redistanced field scores strictly higher than the checkpoint before it.
 
 The score is the sign-pattern energy
 (:meth:`~ofc.energy.MeasureEnergy.sign_pattern_energy`), the measure that
 the classifier sign(u) attains, so redistancing does not change it.  The
-run keeps the lowest-scoring redistanced field and returns it, unless the
-final field scores as low or lower; a restart forgets the kept field.
+run returns its final field, redistanced, or the checkpoint before it,
+whichever scores lower.  ``_start`` builds u and dt for the first start and
+for the one restart; ``_settle`` redistances, evaluates and times a field in
+every iteration and at the closing checkpoint.
 
 Reinitialization is a closest-point transform.  Its seeds are the nodes
 on grid edges that cross the class boundary (:func:`~ofc.field.edge_crossings`),
@@ -102,9 +104,9 @@ class TrainConfig:
     from the default sphere lattice.
 
     A run stops at max_iter, after 5 consecutive updates below tol, or at
-    the first redistancing whose field scores above the best redistanced
-    field so far on the sign-pattern energy.  reinit_every is therefore
-    also the period of that check.
+    the first redistancing whose field scores above the one before it on
+    the sign-pattern energy.  reinit_every is therefore also the period of
+    that check.
     """
 
     beta: float = 1.0
@@ -182,14 +184,15 @@ class TraceRecord(NamedTuple):
     reinit: bool
 
 
-class _Checkpoint(NamedTuple):
-    """A redistanced field, its sign-pattern energy and its evaluation."""
+class _Iterate(NamedTuple):
+    """A field of the run, its evaluation, and at a checkpoint, where it was
+    redistanced, its sign-pattern energy as score (None elsewhere)."""
 
-    score: float
     iteration: int
     u: ScalarField
     energy: float
     fractions: tuple
+    score: float
 
 
 @dataclass
@@ -397,16 +400,39 @@ def reinitialize(u: ScalarField) -> ScalarField:
     return u.with_values(np.where(u.values >= 0, dist, -dist))
 
 
+def _start(e: MeasureEnergy, cfg: TrainConfig, restarted: bool):
+    """u and dt from ``cfg.init``, or from the default lattice on the restart."""
+    u = init_shape(e.pair.grid, SphereLattice() if restarted else cfg.init)
+    return u, cfg.dt if cfg.dt is not None else auto_time_step(u, e, cfg)
+
+
+def _settle(u, e, cfg, iteration, checkpoint, seconds) -> _Iterate:
+    """Iteration ``iteration``'s field u, redistanced and scored at a
+    checkpoint, and evaluated; each phase's time is added to ``seconds``."""
+    t0 = time.perf_counter()
+    if checkpoint:
+        u = reinitialize(u)
+    t1 = time.perf_counter()
+    energy, fractions = e.evaluate(u, return_fractions=True)
+    seconds["reinit"] += t1 - t0
+    seconds["evaluate"] += time.perf_counter() - t1
+    score = e.sign_pattern_energy(u, cfg.descent) if checkpoint else None
+    return _Iterate(iteration, u, energy, fractions, score)
+
+
 def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
     """Evolve a decision field to a minimizer of the energy.
 
     Returns (TrainedClassifier, EvolutionTrace).  Hitting max_iter is
     reported in the trace status, never raised.  The classifier holds the
-    final field or the best redistanced one, whichever scores lower on the
-    sign-pattern energy of the objective ``cfg.descent`` minimizes.  If the
-    positive region loses all its density mass, training restarts once
-    from the default sphere lattice before giving up.  The recorded
-    resolution is the grid's cell count when every axis shares one.
+    final field or the checkpoint before it, whichever scores lower on the
+    sign-pattern energy of the objective ``cfg.descent`` minimizes (the
+    final field wins a tie).  If the positive region loses all its density
+    mass, at the start or in an iteration, the run restarts once from the
+    default sphere lattice, keeping its records and forgetting its
+    checkpoints; a second loss, or one at the closing checkpoint, is raised.
+    The model and trace header record the first start's dt, and the grid's
+    cell count as resolution when every axis shares one.
     """
     from .classifier import TrainedClassifier, density_fingerprint
 
@@ -417,37 +443,27 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
         raise ValueError(
             f"training needs at least {_MIN_CELLS_PER_AXIS} cells per axis"
         )
-    restarted = False
-
-    def fresh_start(init):
-        u0 = init_shape(grid, init)
-        return u0, cfg.dt if cfg.dt is not None else auto_time_step(u0, e, cfg)
-
-    try:
-        u, dt = fresh_start(cfg.init)
-    except VanishingPositiveMassError:
-        restarted = True
-        u, dt = fresh_start(SphereLattice())
-    # the settings this run optimises, as the model and the trace record them,
-    # with the grid's cell count when every axis shares one
     res = grid.resolution[0] if len(set(grid.resolution)) == 1 else cfg.resolution
-    snapshot = replace(
-        cfg, beta=e.beta, dt=dt, lam=resolved_lambda(cfg, grid), eps_h=e.eps, resolution=res
-    )
-    k = "none" if e.k is None else repr(e.k)
-    header = {"measure": e.kind, "k": k, **config_to_text(snapshot)}
-
+    snapshot = None  # the settings this run optimises, as model and trace record them
     records: list[TraceRecord] = []
     status = "max-iter"
-    consecutive = 0
+    restarted = False
+    u = None  # no field before the start, nor after the positive mass vanished
     dt_halvings = 0
-    it = 0
-    fractions = None  # (A, B, C) of u once its evaluate has run
-    best = None  # the lowest-scoring redistanced field so far
     seconds = {"step": 0.0, "evaluate": 0.0, "reinit": 0.0}
-    while it < cfg.max_iter:
-        it += 1
+    while len(records) < cfg.max_iter:
+        it = len(records) + 1
         try:
+            if u is None:
+                u, dt = _start(e, cfg, restarted)
+                if snapshot is None:
+                    snapshot = replace(
+                        cfg, beta=e.beta, dt=dt, lam=resolved_lambda(cfg, grid),
+                        eps_h=e.eps, resolution=res,
+                    )
+                fractions = None  # (A, B, C) of u once its evaluate has run
+                consecutive = 0
+                prev = None  # the last checkpoint
             t0 = time.perf_counter()
             halvings = 0
             while True:
@@ -461,65 +477,45 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
                     dt *= 0.5
                     dt_halvings += 1
             max_update = float(np.abs(u_new.values - u.values).max())
-            did_reinit = it % cfg.reinit_every == 0
-            t1 = time.perf_counter()
-            u = reinitialize(u_new) if did_reinit else u_new
-            t2 = time.perf_counter()
-            energy_val, fractions = e.evaluate(u, return_fractions=True)
-            t3 = time.perf_counter()
+            seconds["step"] += time.perf_counter() - t0
+            cur = _settle(u_new, e, cfg, it, it % cfg.reinit_every == 0, seconds)
         except VanishingPositiveMassError:
             if restarted:
                 raise
-            restarted = True
-            u, dt = fresh_start(SphereLattice())
-            fractions = None
-            consecutive = 0
-            best = None
-            it -= 1
+            restarted, u = True, None
             continue
-        seconds["step"] += t1 - t0
-        seconds["reinit"] += t2 - t1
-        seconds["evaluate"] += t3 - t2
-        records.append(TraceRecord(it, energy_val, max_update, did_reinit))
-        if did_reinit:
-            score = e.sign_pattern_energy(u, cfg.descent)
-            if best is not None and score > best.score:
+        u, fractions = cur.u, cur.fractions
+        records.append(TraceRecord(it, cur.energy, max_update, cur.score is not None))
+        if cur.score is not None:
+            if prev is not None and cur.score > prev.score:
                 status = "converged"
                 break
-            best = _Checkpoint(score, it, u, energy_val, fractions)
+            prev = cur
         consecutive = consecutive + 1 if max_update < cfg.tol else 0
         if consecutive >= _CONSECUTIVE_FOR_CONVERGENCE:
             status = "converged"
             break
-    if not records[-1].reinit:  # the last iteration may have redistanced already
-        t0 = time.perf_counter()
-        u = reinitialize(u)
-        t1 = time.perf_counter()
-        energy_val, fractions = e.evaluate(u, return_fractions=True)
-        seconds["reinit"] += t1 - t0
-        seconds["evaluate"] += time.perf_counter() - t1
-        score = e.sign_pattern_energy(u, cfg.descent)
-    last = _Checkpoint(score, records[-1].iteration, u, energy_val, fractions)
-    # the final field wins a tie
-    kept = best if best is not None and best.score < last.score else last
-    u = kept.u
+    # the run ends on a checkpoint: its last iteration's or a closing one
+    last = cur if cur.score is not None else _settle(u, e, cfg, it, True, seconds)
+    kept = prev if prev is not None and prev.score < last.score else last
+    k = "none" if e.k is None else repr(e.k)
     trace = EvolutionTrace(
         records, status, restarted, dt, kept.energy,
         dt_halvings=dt_halvings,
-        stationarity_residual=e.stationarity_residual(u, kept.fractions),
+        stationarity_residual=e.stationarity_residual(kept.u, kept.fractions),
         energy_ascent=kept is not last,
         best_iteration=kept.iteration,
         sign_pattern_energy=kept.score,
-        header=header,
+        header={"measure": e.kind, "k": k, **config_to_text(snapshot)},
         phase_seconds=seconds,
     )
     model = TrainedClassifier(
-        u=u,
+        u=kept.u,
         kind=e.kind,
         beta=e.beta,
         k=e.k,
         config=snapshot,
         densities_hash=density_fingerprint(d),
-        degenerate=not has_sign_change(u),
+        degenerate=not has_sign_change(kept.u),
     )
     return model, trace

@@ -118,6 +118,21 @@ def test_predict_full_flags_out_of_bounds_points():
     assert result.labels.tolist() == [False, True, False]
 
 
+def test_predict_is_predict_full_labels():
+    grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=33)
+    mesh = grid.mesh()
+    model = manual_model(ScalarField(grid, np.hypot(*mesh) - 1.0 + 0.3 * np.sin(2 * mesh[0])))
+    # points inside the grid, on its nodes and edges, and outside it
+    pts = np.random.default_rng(3).uniform(-3.0, 3.0, size=(2000, 2))
+    pts = np.vstack([pts, [[-2.0, 2.0], [2.0, 0.0], [-3.0, 5.0], [0.0, -2.5]]])
+    labels = predict(model, pts)
+    assert labels.dtype == bool and labels.shape == (len(pts),)
+    np.testing.assert_array_equal(labels, predict_full(model, pts).labels)
+    for p in ([0.5, 0.25], [2.5, -0.5], (0.0, 1.0)):
+        np.testing.assert_array_equal(predict(model, p), predict_full(model, p).labels)
+        assert predict(model, p).shape == (1,)
+
+
 def test_predictions_depend_only_on_sign():
     grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=65)
     mesh = grid.mesh()

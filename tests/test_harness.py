@@ -13,7 +13,7 @@ from scipy.special import ndtr
 import ofc.classifier
 import ofc.density
 import ofc.harness
-from ofc.data import LabeledDataset, gen_toy1d
+from ofc.data import LabeledDataset, gen_toy1d, kfold
 from ofc.errors import DegenerateDataError, DimensionError
 from ofc.harness import (
     AnalyticToy,
@@ -25,6 +25,7 @@ from ofc.harness import (
     run_experiment,
     threshold_oracle,
 )
+from ofc.metrics import confusion_from_predictions
 from ofc.solver import TrainConfig
 
 
@@ -252,6 +253,20 @@ def test_experiment_smoke_two_rows_no_failures():
     assert by_name["nb"].f_beta_mean == pytest.approx(1.0)
     assert by_name["oracle"].f_beta_mean > 0.9
     assert all(r.f_beta_std == 0.0 for r in rows)
+
+
+def test_oracle_cells_maximize_the_experiment_measure():
+    # at a 1:50 imbalance the accuracy optimum lies well right of F1's
+    data = gen_toy1d(seed=0).subset(np.arange(0, 51000, 10))
+    spec = ExperimentSpec(data=data, classifiers=("oracle",), repetitions=1, folds=2,
+                          seed=3, ofc_measure="accuracy", oracle_steps=200)
+    cell = run_experiment(spec).outcomes[0]
+    train_idx, test_idx = kfold(data, 2, seed=3)[0]
+    train, test = data.subset(train_idx), data.subset(test_idx)
+    tau, _ = threshold_oracle(train, steps=200, metric="accuracy")
+    assert tau != threshold_oracle(train, steps=200)[0]
+    assert (cell.repetition, cell.fold) == (0, 0)
+    assert cell.counts == confusion_from_predictions(test.labels, test.points[:, 0] >= tau)
 
 
 def test_experiment_includes_level_set_classifier():

@@ -904,6 +904,76 @@ def test_restart_clears_the_kept_field(toy, monkeypatch):
     assert trace.best_iteration > 7
 
 
+def test_restart_mid_run_numbers_and_times_every_iteration(toy, monkeypatch):
+    pair, eps = toy
+    energy = MeasureEnergy(pair, eps=eps)
+    original, calls = solver.step, []
+
+    def step_that_loses_the_mass_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 7:
+            raise VanishingPositiveMassError("forced")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", step_that_loses_the_mass_once)
+    cfg = TrainConfig(init=RIGHT_BOX, reinit_every=5, max_iter=12)
+    model, trace = train(pair, energy, cfg)
+    assert trace.restarted
+    assert [r.iteration for r in trace.records] == list(range(1, 13))
+    assert [r.reinit for r in trace.records].count(True) == 2
+    assert list(trace.phase_seconds) == ["step", "evaluate", "reinit"]
+    assert all(s > 0.0 for s in trace.phase_seconds.values())
+    # the model keeps the first start's dt; the run goes on at the lattice's
+    assert model.config.dt == auto_time_step(init_shape(pair.grid, RIGHT_BOX), energy, cfg)
+    lattice = init_shape(pair.grid, SphereLattice())
+    assert trace.final_dt == auto_time_step(lattice, energy, cfg)
+
+
+def test_restart_at_the_start_records_the_lattice_dt():
+    grid = GridSpec(bounds=TOY_BOUNDS, resolution=1024)
+    x = grid.axes()[0]
+    tri = lambda c, w: np.maximum(0.0, 1.0 - np.abs(x - c) / w) / w
+    # the box holds none of the positive mass, so sizing its dt fails
+    pair = DensityPair(
+        f_pos=ScalarField(grid, tri(3.0, 0.4)),
+        f_neg=ScalarField(grid, tri(-0.5, 0.5)),
+        p_count=100,
+        n_count=100,
+    )
+    energy = MeasureEnergy(pair, eps=1e-15)
+    cfg = TrainConfig(init=Box(lo=(-1.9,), hi=(-1.7,)), max_iter=2)
+    model, trace = train(pair, energy, cfg)
+    dt = auto_time_step(init_shape(grid, SphereLattice()), energy, cfg)
+    assert trace.restarted
+    assert model.config.dt == dt
+    assert trace.header["dt"] == repr(dt)
+    assert [r.iteration for r in trace.records] == [1, 2]
+
+
+@pytest.mark.parametrize("reinit_every", [20, 50])
+@pytest.mark.parametrize("db", [1, 2, 3, 4])
+def test_kept_field_is_the_lower_of_the_final_field_and_the_checkpoint_before(
+    db, reinit_every, monkeypatch
+):
+    # 130 iterations end between redistancings, so a run that reaches them
+    # closes on one more; at reinit_every=50, db1's closing field scores
+    # above its checkpoint at 100, and at 20 below the one at 120
+    from ofc.classifier import fit
+    from ofc.data import gen_db
+
+    scores = _spy_scores(monkeypatch)
+    cfg = TrainConfig(resolution=32, max_iter=130, reinit_every=reinit_every)
+    _, trace = fit(gen_db(db, seed=0), cfg)
+    assert len(scores) >= 2
+    before, final = scores[-2:]
+    assert trace.energy_ascent == (before < final)
+    assert trace.sign_pattern_energy == min(before, final)
+    if before < final:
+        assert trace.best_iteration == reinit_every * (len(scores) - 1)
+    else:
+        assert trace.best_iteration == trace.records[-1].iteration
+
+
 def test_model_records_the_cell_count_of_the_grid_it_trained_on():
     from ofc.classifier import densities_for, fit
     from ofc.data import gen_toy1d
