@@ -99,9 +99,11 @@ def fit(
     """
     if cfg is None:
         cfg = TrainConfig()
-    start = time.perf_counter()
-    pair = densities if densities is not None else densities_for(data, cfg, bandwidth)
-    kde_s = time.perf_counter() - start
+    kde_s, pair = 0.0, densities
+    if pair is None:
+        start = time.perf_counter()
+        pair = densities_for(data, cfg, bandwidth)
+        kde_s = time.perf_counter() - start
     eps = cfg.eps_h if cfg.eps_h is not None else 1.5 * max(pair.grid.spacing)
     energy = MeasureEnergy(pair, eps=eps, kind=measure, beta=cfg.beta)
     model, trace = train(pair, energy, cfg)

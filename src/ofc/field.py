@@ -24,17 +24,27 @@ It takes one of two paths, chosen by the grid shape alone:
   with the weights and index tuples cached per grid shape and spacing.
   Its cost grows with the nodes alone, so it wins once an axis is long.
 
+The last axis multiplies its matrix from the right, so that matrix is
+stored transposed, and BLAS reads it contiguously.
+
 Every field's values are checked to be finite.  The check first takes the
 dot product of the values with themselves, one BLAS call: a finite result
 proves every value finite.  Only a non-finite one, from a non-finite value
-or from squares that overflow, makes it test each value.
+or from squares that overflow, makes it test each value.  The one exception
+is a training step (:func:`ofc.solver.step`): the descent direction and the
+Laplacian it builds its update from are not checked on their own, because a
+non-finite value in either makes the update non-finite, and the step checks
+the update once.
+
+A grid builds its node coordinates and its bounds as read-only arrays once,
+on first use, since redistancing, interpolation and the initial shapes read
+them on every call.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -94,13 +104,20 @@ class GridSpec:
     def spacing(self) -> tuple:
         return tuple((hi - lo) / r for (lo, hi), r in zip(self.bounds, self.resolution))
 
-    @property
+    # read-only, built once per grid: every redistancing and every query
+    # batch reads them
+    @functools.cached_property
     def mins(self) -> np.ndarray:
-        return np.array([lo for lo, _ in self.bounds])
+        return _read_only(np.array([lo for lo, _ in self.bounds]))
 
-    @property
+    @functools.cached_property
     def maxs(self) -> np.ndarray:
-        return np.array([hi for _, hi in self.bounds])
+        return _read_only(np.array([hi for _, hi in self.bounds]))
+
+    @functools.cached_property
+    def _nodes(self) -> np.ndarray:
+        """Node coordinates, one slab of ``shape`` per axis (read-only)."""
+        return _read_only(np.stack(self.mesh()))
 
     def axes(self) -> list:
         """Node coordinates per axis."""
@@ -113,12 +130,19 @@ class GridSpec:
     def from_points(cls, points: np.ndarray, resolution, margin: float = 0.1) -> "GridSpec":
         """Bounding box of ``points`` expanded by ``margin`` of the range per side."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
+        # one column at a time: numpy reduces a tall (n, d) array over axis 0
+        # row by row, at several times the cost
+        lo = np.array([col.min() for col in pts.T])
+        hi = np.array([col.max() for col in pts.T])
         width = hi - lo
         # a constant feature still needs a usable axis
         pad = np.where(width > 0, margin * width, np.maximum(1.0, np.abs(lo)) * margin)
         return cls(tuple(zip(lo - pad, hi + pad)), resolution)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(eq=False)
@@ -140,6 +164,22 @@ class ScalarField:
 
     def with_values(self, values: np.ndarray) -> "ScalarField":
         return ScalarField(self.grid, values)
+
+
+class _Unchecked(ScalarField):
+    """A field that skips the finiteness check, as do the fields derived
+    from it through :meth:`with_values`.
+
+    A training step hands its u to the public kernels as one: a non-finite
+    value in their results makes the step's update non-finite, and the step
+    checks that once.
+    """
+
+    def __post_init__(self):
+        pass
+
+    def with_values(self, values: np.ndarray) -> "_Unchecked":
+        return _Unchecked(self.grid, values)
 
 
 @functools.lru_cache(maxsize=64)
@@ -235,9 +275,9 @@ def laplacian(f: ScalarField) -> ScalarField:
             part = np.matmul(mats[ax], v.reshape(lead, shape[ax], -1))
             out += part.reshape(shape)
         if len(shape) > 1:
-            part = v.reshape(-1, shape[-1]) @ mats[-1].T
+            part = v.reshape(-1, shape[-1]) @ mats[-1]
             out += part.reshape(shape)
-        return ScalarField(grid, out)
+        return f.with_values(out)
     centre, axes = _laplacian_stencil(shape, grid.spacing)
     out = v * centre
     for c, mid, up, down, c2, ends, inner in axes:
@@ -247,21 +287,22 @@ def laplacian(f: ScalarField) -> ScalarField:
         rows += s
         rows = out[ends]
         rows += c2 * v[inner]
-    return ScalarField(grid, out)
+    return f.with_values(out)
 
 
 # laplacian multiplies by per-axis matrices up to these sizes and runs the
 # sliced stencil above them.  Median us of one call including its ScalarField,
 # 15 interleaved repeats on 2 cores (numpy 2.4 on OpenBLAS 0.3.31), sliced
-# and matrix:
-#   2-D  33^2:  33.5  19.1        3-D 21^3:  152   77
-#   2-D  65^2:  51.0  49.4        3-D 25^3:  199  141
-#   2-D  97^2:  83   122          3-D 33^3:  416  537
-#   2-D 129^2: 116   261          1-D  65:   11.1  8.2
-#                                 1-D 513:   13.2 92.5
+# and matrix, with the last axis's matrix stored transposed:
+#   2-D  33^2:  19.6   9.8        3-D 21^3:   87   49
+#   2-D  65^2:  28.6  27.7        3-D 25^3:  135   78
+#   2-D  97^2:  56.4  61.2        3-D 33^3:  254  198
+#   2-D 129^2:  93   177          1-D  65:    5.5  4.5
+#                                 1-D 513:    6.8 60.3
 # The product's work per node grows with the axis length and the stencil's
-# does not, so the axis bound falls between 65 and 97 nodes and the node
-# bound between 25^3 and 33^3.
+# does not, so the axis bound falls between 65 and 97 nodes.  At 33^3 the two
+# traded places between runs of this table (matrix 198-468 us, stencil
+# 254-406 us), so the node bound stays between 25^3 and 33^3.
 _MATRIX_MAX_AXIS = 65
 _MATRIX_MAX_NODES = 1 << 14
 
@@ -271,16 +312,19 @@ def _laplacian_matrices(shape: tuple, spacing: tuple) -> tuple:
     """Per axis, the read-only (n x n) matrix of ``h**-2 * (v[i-1] - 2 v[i] + v[i+1])``.
 
     Its end rows count the inner neighbour twice, as the mirrored ghost
-    node equals it.
+    node equals it.  The last axis of a grid with more than one axis is
+    stored transposed, as a C-order array: :func:`laplacian` multiplies it
+    from the right, and BLAS then reads it contiguously.
     """
     mats = []
     for n, h in zip(shape, spacing):
         c = 1.0 / (h * h)
         m = c * (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1))
         m[0, 1] = m[-1, -2] = 2.0 * c
-        m.flags.writeable = False
         mats.append(m)
-    return tuple(mats)
+    if len(mats) > 1:
+        mats[-1] = np.ascontiguousarray(mats[-1].T)
+    return tuple(_read_only(m) for m in mats)
 
 
 @functools.lru_cache(maxsize=64)
@@ -386,7 +430,9 @@ def _check_inside(grid: GridSpec, point: np.ndarray, what: str):
         raise InvalidShapeError(f"{what} {tuple(point)} lies outside the grid bounds")
 
 
-def _lattice_centers(grid: GridSpec, shape: SphereLattice):
+def _lattice_axes(grid: GridSpec, shape: SphereLattice):
+    """Per axis, the lattice's centre coordinates, whose product is its
+    centres; and its radius."""
     extent = grid.maxs - grid.mins
     period = np.asarray(shape.period, dtype=float) if shape.period is not None else extent / 4.0
     if np.isscalar(shape.offset):
@@ -403,10 +449,13 @@ def _lattice_centers(grid: GridSpec, shape: SphereLattice):
         + offset[i]
         for i in range(grid.dim)
     ]
-    centers = np.array(list(product(*per_axis)))
-    for c in centers:
-        _check_inside(grid, c, "lattice center")
-    return centers, radius
+    for i, coords in enumerate(per_axis):
+        outside = coords[(coords < grid.mins[i]) | (coords > grid.maxs[i])]
+        if outside.size:
+            center = np.array([c[0] for c in per_axis])
+            center[i] = outside[0]
+            _check_inside(grid, center, "lattice center")
+    return per_axis, radius
 
 
 InitShape = Sphere | Box | SphereLattice
@@ -428,7 +477,7 @@ def init_shape(grid: GridSpec, shape=None) -> ScalarField:
         if center.shape != (grid.dim,):
             raise InvalidShapeError("sphere center dimension does not match the grid")
         _check_inside(grid, center, "sphere center")
-        return ScalarField(grid, _sphere_values(grid.mesh(), center, float(shape.radius)))
+        return ScalarField(grid, _sphere_values(grid._nodes, center, float(shape.radius)))
     if isinstance(shape, Box):
         lo = np.asarray(shape.lo, dtype=float)
         hi = np.asarray(shape.hi, dtype=float)
@@ -440,18 +489,22 @@ def init_shape(grid: GridSpec, shape=None) -> ScalarField:
         _check_inside(grid, hi, "box corner")
         center = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        mesh = grid.mesh()
-        q = [np.abs(m - c) - hw for m, c, hw in zip(mesh, center, half)]
+        q = [np.abs(m - c) - hw for m, c, hw in zip(grid._nodes, center, half)]
         outside = np.sqrt(sum(np.maximum(qi, 0.0) ** 2 for qi in q))
         inside = np.minimum(functools.reduce(np.maximum, q), 0.0)
         return ScalarField(grid, -(outside + inside))
     if isinstance(shape, SphereLattice):
-        centers, radius = _lattice_centers(grid, shape)
-        mesh = grid.mesh()
-        vals = np.full(grid.shape, -np.inf)
-        for c in centers:
-            vals = np.maximum(vals, _sphere_values(mesh, c, radius))
-        return ScalarField(grid, vals)
+        per_axis, radius = _lattice_axes(grid, shape)
+        # The union's value, the max over centres of r - |x - c|, is r minus
+        # the root of the least squared distance to a centre.  The centres
+        # are a product of per-axis rows, so that least sum of per-axis
+        # squares sums the per-axis least squares.  Rounding is monotone, so
+        # both steps give the per-centre max exactly.
+        d2 = 0
+        for ax, (x, c) in enumerate(zip(grid.axes(), per_axis)):
+            near = np.min((x[:, None] - c) ** 2, axis=1)
+            d2 = d2 + near.reshape((-1,) + (1,) * (grid.dim - 1 - ax))
+        return ScalarField(grid, radius - np.sqrt(d2))
     raise InvalidShapeError(f"unsupported shape {type(shape).__name__}")
 
 

@@ -16,9 +16,15 @@ The score is the sign-pattern energy
 (:meth:`~ofc.energy.MeasureEnergy.sign_pattern_energy`), the measure that
 the classifier sign(u) attains, so redistancing does not change it.  The
 run returns its final field, redistanced, or the checkpoint before it,
-whichever scores lower.  ``_start`` builds u and dt for the first start and
-for the one restart; ``_settle`` redistances, evaluates and times a field in
-every iteration and at the closing checkpoint.
+whichever scores lower.  ``_start`` builds and times u and dt for the
+first start and for the one restart; ``_settle`` redistances, evaluates and
+times a field in every iteration and at the closing checkpoint.
+
+A step checks that its update is finite once, on the field it returns; the
+descent direction and the Laplacian it is built from skip their own checks
+(:class:`~ofc.field._Unchecked`).  The grid's node coordinates and bounds,
+which the initial shapes and every redistancing read, are built once per
+grid and cached on it (:class:`~ofc.field.GridSpec`).
 
 Reinitialization is a closest-point transform.  Its seeds are the nodes
 on grid edges that cross the class boundary (:func:`~ofc.field.edge_crossings`),
@@ -58,6 +64,7 @@ from .field import (
     InitShape,
     ScalarField,
     SphereLattice,
+    _Unchecked,
     edge_crossings,
     init_shape,
     laplacian,
@@ -218,7 +225,8 @@ class EvolutionTrace:
     best_iteration: int  # the iteration that produced the returned field
     sign_pattern_energy: float  # MeasureEnergy.sign_pattern_energy of the result
     header: dict
-    # phase -> seconds: "step", "evaluate" and "reinit" from train, "kde" from fit
+    # phase -> seconds: "start", "step", "evaluate" and "reinit" from train,
+    # "kde" from fit
     phase_seconds: dict = field(default_factory=dict, compare=False)
 
     def to_csv(self) -> str:
@@ -257,7 +265,8 @@ def step(
     dt: float = None,
     fractions: tuple = None,
 ) -> ScalarField:
-    """One explicit update; raises StepRejectedError when the guard trips.
+    """One explicit update; raises StepRejectedError when the guard trips,
+    and ValueError when the update's direction is not finite.
 
     ``fractions`` are u's (A, B, C) when already known, e.g. from
     ``e.evaluate(u, return_fractions=True)``.
@@ -268,20 +277,28 @@ def step(
         dt = cfg.dt
     if dt is None:
         raise ValueError("dt is unresolved; pass it explicitly or set cfg.dt")
-    # the descent array is fresh, so the update is built in it in place
-    change = e.descent_direction(u, cfg.descent, fractions).values
+    # The descent array is fresh, so the update is built in it in place.
+    # Neither it nor the Laplacian is checked on its own: a non-finite value
+    # in either makes the largest move non-finite, which no smaller dt can
+    # mend, and the returned field is checked.
+    w = _Unchecked(u.grid, u.values)
+    change = e.descent_direction(w, cfg.descent, fractions).values
     lam = resolved_lambda(cfg, u.grid)
     if lam != 0.0:
-        diffusion = laplacian(u).values
+        diffusion = laplacian(w).values
         diffusion *= lam
         change -= diffusion
-    change *= dt
-    limit = 10.0 * max(u.grid.spacing)
+    # scaling by |dt| is monotone, so it commutes with the max exactly
     worst = max(float(change.max()), -float(change.min()))
+    if not math.isfinite(worst):
+        raise ValueError("descent and diffusion values must be finite")
+    worst *= abs(dt)
+    limit = 10.0 * max(u.grid.spacing)
     if worst > limit:
         raise StepRejectedError(
             f"step of {worst:.3e} exceeds {limit:.3e} (10 cell widths)"
         )
+    change *= dt
     np.subtract(u.values, change, out=change)
     return u.with_values(change)
 
@@ -290,24 +307,24 @@ def has_sign_change(u: ScalarField) -> bool:
     return bool((u.values >= 0).any() and (u.values < 0).any())
 
 
-def _axis_crossing_offsets(values: np.ndarray, spacing) -> list[np.ndarray]:
-    """Per axis: each node's signed offset along that axis to the nearer
-    boundary crossing on its two incident edges (inf when neither crosses)."""
-    out = []
-    for ax, h in enumerate(spacing):
+def _axis_crossing_offsets(values: np.ndarray, spacing) -> np.ndarray:
+    """Per axis, one slab of ``values.shape``: each node's signed offset along
+    that axis to the nearer boundary crossing on its two incident edges (inf
+    when neither crosses)."""
+    out = np.full((len(spacing),) + values.shape, np.inf)
+    for ax, (off, h) in enumerate(zip(out, spacing)):
         lo, hi, cross, t = edge_crossings(values, ax)
-        off = np.full(values.shape, np.inf)
         off[lo][cross] = t * h
-        far = np.full(cross.shape, np.inf)
-        far[cross] = (1.0 - t) * h
+        # views: writing to them writes through to out
         up = off[hi]
-        off[hi] = np.where(far < np.abs(up), -far, up)
-        out.append(off)
+        near, far = up[cross], (1.0 - t) * h
+        up[cross] = np.where(far < np.abs(near), -far, near)
     return out
 
 
-def _nearest_feet(points: np.ndarray, feet: np.ndarray) -> np.ndarray:
-    """Index into ``feet`` (S, d) of the nearest foot of each of ``points`` (N, d).
+def _nearest_feet(rows: np.ndarray, feet: np.ndarray) -> np.ndarray:
+    """Index into ``feet`` (S, d) of the nearest foot of each of the points
+    whose rows ``[x, 1]`` (N, d + 1) are given.
 
     |x - f|^2 = |x|^2 + (-2f . x + |f|^2), and |x|^2 is the same along a row,
     so the row minima of [x, 1] @ [-2f, |f|^2] are the nearest feet.  Rounding
@@ -315,11 +332,10 @@ def _nearest_feet(points: np.ndarray, feet: np.ndarray) -> np.ndarray:
     eps * |x|^2, so callers centre both sets on the grid and measure the
     distance to the chosen foot directly.
     """
-    rows = np.hstack([points, np.ones((len(points), 1))])
     cols = np.vstack([-2.0 * feet.T, np.einsum("ij,ij->i", feet, feet)])
-    out = np.empty(len(points), dtype=np.intp)
+    out = np.empty(len(rows), dtype=np.intp)
     chunk = max(1, _EXACT_CHUNK // len(feet))
-    for i in range(0, len(points), chunk):
+    for i in range(0, len(rows), chunk):
         np.argmin(rows[i:i + chunk] @ cols, axis=1, out=out[i:i + chunk])
     return out
 
@@ -363,15 +379,19 @@ def _plane_feet(values: np.ndarray, spacing, coords: np.ndarray):
     nodes with such a plane, in C order."""
     with np.errstate(all="ignore"):
         # 0 where no incident edge crosses, inf where the boundary meets the node
-        foot = np.stack([1.0 / o for o in _axis_crossing_offsets(values, spacing)])
-        inv = (foot * foot).sum(axis=0)
+        normal = _axis_crossing_offsets(values, spacing)
+        np.divide(1.0, normal, out=normal)
+        inv = (normal * normal).sum(axis=0)
         plane = 1.0 / np.sqrt(inv)
+        seeds = inv > 0
         # the plane through a seed's crossings has normal 1 / offset; its foot
         # lies at x + (1 / offset) / inv, which is x itself on a zero node
-        foot /= inv
-        foot += coords
-        np.copyto(foot, coords, where=np.isinf(inv))
-    return plane, foot[:, inv > 0].T
+        inv, at = inv[seeds], coords[:, seeds]
+        feet = normal[:, seeds]
+        feet /= inv
+        feet += at
+        np.copyto(feet, at, where=np.isinf(inv))
+    return plane, feet.T
 
 
 def reinitialize(u: ScalarField) -> ScalarField:
@@ -382,7 +402,7 @@ def reinitialize(u: ScalarField) -> ScalarField:
     """
     if not has_sign_change(u):
         return u
-    coords = np.stack(u.grid.mesh())
+    coords = u.grid._nodes
     plane, feet = _plane_feet(u.values, u.grid.spacing, coords)
     free = np.isinf(plane)
     centre = 0.5 * (u.grid.mins + u.grid.maxs)
@@ -394,16 +414,25 @@ def reinitialize(u: ScalarField) -> ScalarField:
     dist = plane  # a seed keeps its distance to the plane
     for box, near in tiles:
         todo = free[box]
-        points = coords[(slice(None),) + box][:, todo].T - centre
-        gap = points - near[_nearest_feet(points, near)]
+        # each free node's row [x - centre, 1]; its first d columns are x - centre
+        rows = np.ones((np.count_nonzero(todo), u.grid.dim + 1))
+        points = rows[:, :-1]
+        np.subtract(coords[(slice(None),) + box][:, todo].T, centre, out=points)
+        gap = points - near[_nearest_feet(rows, near)]
         dist[box][todo] = np.sqrt(np.einsum("ij,ij->i", gap, gap))
-    return u.with_values(np.where(u.values >= 0, dist, -dist))
+    np.negative(dist, out=dist, where=u.values < 0)
+    return u.with_values(dist)
 
 
-def _start(e: MeasureEnergy, cfg: TrainConfig, restarted: bool):
-    """u and dt from ``cfg.init``, or from the default lattice on the restart."""
-    u = init_shape(e.pair.grid, SphereLattice() if restarted else cfg.init)
-    return u, cfg.dt if cfg.dt is not None else auto_time_step(u, e, cfg)
+def _start(e: MeasureEnergy, cfg: TrainConfig, restarted: bool, seconds):
+    """u and dt from ``cfg.init``, or from the default lattice on the restart;
+    the time taken, failed or not, is added to ``seconds``."""
+    t0 = time.perf_counter()
+    try:
+        u = init_shape(e.pair.grid, SphereLattice() if restarted else cfg.init)
+        return u, cfg.dt if cfg.dt is not None else auto_time_step(u, e, cfg)
+    finally:
+        seconds["start"] += time.perf_counter() - t0
 
 
 def _settle(u, e, cfg, iteration, checkpoint, seconds) -> _Iterate:
@@ -450,12 +479,12 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
     restarted = False
     u = None  # no field before the start, nor after the positive mass vanished
     dt_halvings = 0
-    seconds = {"step": 0.0, "evaluate": 0.0, "reinit": 0.0}
+    seconds = {"start": 0.0, "step": 0.0, "evaluate": 0.0, "reinit": 0.0}
     while len(records) < cfg.max_iter:
         it = len(records) + 1
         try:
             if u is None:
-                u, dt = _start(e, cfg, restarted)
+                u, dt = _start(e, cfg, restarted, seconds)
                 if snapshot is None:
                     snapshot = replace(
                         cfg, beta=e.beta, dt=dt, lam=resolved_lambda(cfg, grid),

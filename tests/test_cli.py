@@ -235,7 +235,9 @@ def test_train_prints_the_returned_field_and_phase_times(tmp_path, separable_csv
     assert (f"returned the field of iteration {header['best_iteration']}, "
             f"sign-pattern energy {score:.6g}") in err
     times = err.split("seconds: ", 1)[1].splitlines()[0]
-    assert [part.split()[0] for part in times.split(", ")] == ["kde", "step", "evaluate", "reinit"]
+    assert [part.split()[0] for part in times.split(", ")] == [
+        "kde", "start", "step", "evaluate", "reinit"
+    ]
     assert "seconds" not in trace.read_text()
 
 

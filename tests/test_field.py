@@ -64,6 +64,17 @@ class TestGridSpec:
         assert g.bounds[0] == pytest.approx((-0.1, 1.1))
         assert g.bounds[1] == pytest.approx((-0.2, 2.2))
 
+    def test_cached_constants_are_read_only(self):
+        g = GridSpec(((0.0, 1.0), (-2.0, 3.0)), (4, 5))
+        np.testing.assert_array_equal(g._nodes, np.stack(g.mesh()))
+        np.testing.assert_array_equal(g.mins, [0.0, -2.0])
+        np.testing.assert_array_equal(g.maxs, [1.0, 3.0])
+        for name in ("_nodes", "mins", "maxs"):
+            a = getattr(g, name)
+            assert getattr(g, name) is a  # built once per grid
+            with pytest.raises(ValueError):
+                a.flat[0] = 7.0
+
     def test_field_shape_checked(self):
         g = GridSpec(((0.0, 1.0),), (4,))
         with pytest.raises(ValueError):
@@ -351,6 +362,35 @@ class TestInitShape:
             init_shape(g, Sphere((5.0,), 1.0))
         with pytest.raises(InvalidShapeError):
             init_shape(g, Box((0.5,), (0.5,)))
+
+    @pytest.mark.parametrize("bounds, res, lattice", [
+        (((-1.3, 2.0),), 200, SphereLattice(period=(0.7,), radius=0.2, offset=0.1)),
+        (((0.0, 10.0), (0.0, 10.0)), 128, SphereLattice()),
+        (((-2.0, 3.0), (0.5, 1.7)), (33, 47),
+         SphereLattice(period=(0.9, 0.3), radius=0.11, offset=(0.05, -0.02))),
+        (((-2.0, 3.0), (0.5, 1.7), (1.0, 2.0)), (20, 17, 23),
+         SphereLattice(period=(1.1, 0.3, 0.25), radius=0.13, offset=(-0.1, 0.0, 0.02))),
+    ])
+    def test_lattice_matches_the_per_centre_union(self, bounds, res, lattice):
+        g = GridSpec(bounds, res)
+        lo, hi = g.mins, g.maxs
+        period = np.array(lattice.period) if lattice.period is not None else (hi - lo) / 4
+        radius = lattice.radius if lattice.radius is not None else 0.3 * period.min()
+        offset = np.broadcast_to(lattice.offset, (g.dim,))
+        rows = [lo[i] + (np.arange(max(1, int(np.ceil((hi[i] - lo[i]) / period[i])))) + 0.5)
+                * period[i] + offset[i] for i in range(g.dim)]
+        mesh = g.mesh()
+        ref = np.full(g.shape, -np.inf)
+        for c in itertools.product(*rows):
+            d2 = sum((m - ci) ** 2 for m, ci in zip(mesh, c))
+            ref = np.maximum(ref, radius - np.sqrt(d2))
+        assert init_shape(g, lattice).values.tobytes() == ref.tobytes()
+
+    def test_lattice_center_outside_the_grid(self):
+        g = GridSpec(((0.0, 1.0), (0.0, 1.0)), (8, 8))
+        # axis 1 holds one centre, at 0 + 0.5 * 3.0 = 1.5, outside [0, 1]
+        with pytest.raises(InvalidShapeError, match=r"lattice center \(.*1\.5.*\) lies outside"):
+            init_shape(g, SphereLattice(period=(0.25, 3.0)))
 
     def test_default_lattice_crosses_every_period(self):
         g = GridSpec(((0.0, 10.0), (0.0, 10.0)), (128, 128))

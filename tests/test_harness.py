@@ -471,6 +471,7 @@ def test_fit_on_shared_densities_matches_fit():
     data = small_separable(60, seed=5)
     cfg = TrainConfig(resolution=32, max_iter=40, reinit_every=10, beta=2.0)
     alone, _ = fit(data, cfg)
-    shared, _ = fit(data, cfg, densities=densities_for(data, cfg))
+    shared, trace = fit(data, cfg, densities=densities_for(data, cfg))
     assert shared.u.values.tobytes() == alone.u.values.tobytes()
+    assert trace.phase_seconds["kde"] == 0.0  # no KDE ran
     assert shared.densities_hash == alone.densities_hash

@@ -23,6 +23,7 @@ from ofc.field import (
     GridSpec,
     ScalarField,
     SphereLattice,
+    edge_crossings,
     gradient_magnitude,
     init_shape,
     laplacian,
@@ -216,6 +217,19 @@ def test_step_with_nan_update_raises(toy):
     u = init_shape(pair.grid, RIGHT_BOX)
     with pytest.raises(ValueError, match="finite"):
         step(u, energy, pair, TrainConfig(), dt=float("nan"))
+
+
+def test_step_with_non_finite_diffusion_raises_without_halving(toy):
+    # the Laplacian of nodes alternating at +-1e308 overflows: the public
+    # kernel refuses to return it, and step refuses the step at once
+    pair, eps = toy
+    energy = MeasureEnergy(pair, eps=eps)
+    u = ScalarField(pair.grid, np.where(np.arange(pair.grid.shape[0]) % 2, 1e308, -1e308))
+    with np.errstate(over="ignore"):  # the values are under test, not the warnings
+        with pytest.raises(ValueError, match="finite"):
+            laplacian(u)
+        with pytest.raises(ValueError, match="finite"):
+            step(u, energy, pair, TrainConfig(lam=0.05), dt=0.01)
 
 
 def test_step_requires_matching_grid_and_dt(toy):
@@ -451,6 +465,57 @@ def test_reinitialize_search_matches_all_pairs_reference(dim, resolution, centre
     np.testing.assert_allclose(reinitialize(u).values, expected, rtol=0, atol=atol)
     monkeypatch.setattr(solver, "_EXACT_MAX_PAIRS", 0)  # tiled at any size
     np.testing.assert_allclose(reinitialize(u).values, expected, rtol=0, atol=atol)
+
+
+def fresh_mesh_redistance(u):
+    """The one-tile search with the node coordinates built afresh from the
+    grid's mesh, and a foot computed at every node before the seeds' feet
+    are picked out: the reference for the cached coordinates."""
+    grid = u.grid
+    coords = np.stack(grid.mesh())
+    offsets = []
+    for ax, h in enumerate(grid.spacing):
+        lo, hi, cross, t = edge_crossings(u.values, ax)
+        off = np.full(u.values.shape, np.inf)
+        off[lo][cross] = t * h
+        far = np.full(cross.shape, np.inf)
+        far[cross] = (1.0 - t) * h
+        up = off[hi]
+        off[hi] = np.where(far < np.abs(up), -far, up)
+        offsets.append(off)
+    with np.errstate(all="ignore"):
+        foot = np.stack([1.0 / o for o in offsets])
+        inv = (foot * foot).sum(axis=0)
+        plane = 1.0 / np.sqrt(inv)
+        foot /= inv
+        foot += coords
+        np.copyto(foot, coords, where=np.isinf(inv))
+    centre = 0.5 * (np.array(grid.bounds)[:, 0] + np.array(grid.bounds)[:, 1])
+    feet = foot[:, inv > 0].T - centre
+    free = np.isinf(plane)
+    points = coords[:, free].T - centre
+    rows = np.hstack([points, np.ones((len(points), 1))])
+    cols = np.vstack([-2.0 * feet.T, np.einsum("ij,ij->i", feet, feet)])
+    gap = points - feet[np.argmin(rows @ cols, axis=1)]
+    plane[free] = np.sqrt(np.einsum("ij,ij->i", gap, gap))
+    return np.where(u.values >= 0, plane, -plane)
+
+
+@pytest.mark.parametrize("resolution, max_iter", [(64, 400), (32, 200)])
+def test_reinitialize_on_trained_fields_matches_the_fresh_mesh_reference(
+    resolution, max_iter, monkeypatch
+):
+    # the fields train redistances at the benchmark's fit2d and cv sizes
+    from ofc.classifier import fit
+    from ofc.data import gen_db
+
+    fields, original = [], solver.reinitialize
+    monkeypatch.setattr(solver, "reinitialize", lambda u: fields.append(u) or original(u))
+    for db in (2, 4):
+        fit(gen_db(db, seed=1), TrainConfig(resolution=resolution, max_iter=max_iter))
+    assert len(fields) >= 4
+    for u in fields:
+        assert original(u).values.tobytes() == fresh_mesh_redistance(u).tobytes()
 
 
 def _blas_products_digests(u_path) -> list:
@@ -921,7 +986,7 @@ def test_restart_mid_run_numbers_and_times_every_iteration(toy, monkeypatch):
     assert trace.restarted
     assert [r.iteration for r in trace.records] == list(range(1, 13))
     assert [r.reinit for r in trace.records].count(True) == 2
-    assert list(trace.phase_seconds) == ["step", "evaluate", "reinit"]
+    assert list(trace.phase_seconds) == ["start", "step", "evaluate", "reinit"]
     assert all(s > 0.0 for s in trace.phase_seconds.values())
     # the model keeps the first start's dt; the run goes on at the lattice's
     assert model.config.dt == auto_time_step(init_shape(pair.grid, RIGHT_BOX), energy, cfg)
@@ -993,7 +1058,7 @@ def test_trace_times_each_phase_outside_its_text():
     from ofc.data import gen_db
 
     _, trace = fit(gen_db(4, seed=0), TrainConfig(resolution=32, max_iter=60))
-    assert list(trace.phase_seconds) == ["kde", "step", "evaluate", "reinit"]
+    assert list(trace.phase_seconds) == ["kde", "start", "step", "evaluate", "reinit"]
     assert all(s > 0.0 for s in trace.phase_seconds.values())
     assert "kde" not in trace.to_csv() and "seconds" not in trace.to_csv()
     assert trace == replace(trace, phase_seconds={})
