@@ -9,6 +9,7 @@ densities cross (~3.956) and the F1 run substantially to its left.
 Run:  python3 demos/03_toy_training.py
 """
 import numpy as np
+from dataclasses import replace
 from pathlib import Path
 from scipy.special import ndtr
 
@@ -43,17 +44,13 @@ def analytic_pair(resolution=1024):
 
 def run(kind):
     pair = analytic_pair()
-    eps = 1.5 * max(pair.grid.spacing)
-    energy = MeasureEnergy(pair, eps=eps, kind=kind)
     init = Box(lo=(3.0,), hi=(6.0,))
-    dt = auto_time_step(init_shape(pair.grid, init), energy, TrainConfig())
-    cfg = TrainConfig(
-        init=init,
-        dt=dt / 10 if kind == "f_measure" else None,
-        reinit_every=300,
-        max_iter=12000,
-    )
-    model, trace = train(pair, energy, cfg)
+    cfg = TrainConfig(init=init, reinit_every=300, max_iter=12000)
+    if kind == "f_measure":
+        # a tenth of the automatic step, sized on the energy train builds
+        energy = MeasureEnergy(pair, eps=1.5 * max(pair.grid.spacing))
+        cfg = replace(cfg, dt=auto_time_step(init_shape(pair.grid, init), energy, cfg) / 10)
+    model, trace = train(pair, cfg, kind)
     (tau,) = frontier(model)
     OUT.mkdir(exist_ok=True)
     path = OUT / f"03_trace_{kind}.csv"

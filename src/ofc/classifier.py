@@ -1,10 +1,11 @@
 """User-facing classifier: fit on labeled points, predict, persist, export.
 
 A trained model is an immutable bundle of the decision field u, the
-measure it was trained for, the resolved config, and a fingerprint of the
-training densities.  Class assignment is sign(u) with exact zero resolving
-to the positive class: in imbalance problems the positive class is the
-costly miss, so boundary points favor detection.
+measure it was trained for, the config :func:`ofc.solver.train` resolved
+and ran, and a fingerprint of the training densities.  Class assignment is
+sign(u) with exact zero resolving to the positive class: in imbalance
+problems the positive class is the costly miss, so boundary points favor
+detection.
 
 A model file holds the config as ``config.<field>=<text>`` lines in the
 text form of :func:`ofc.solver.config_to_text`, which the trace header
@@ -21,7 +22,6 @@ import numpy as np
 
 from .data import LabeledDataset
 from .density import DensityPair, estimate_pair
-from .energy import MeasureEnergy
 from .errors import (
     DegenerateModelError,
     ModelFormatError,
@@ -90,23 +90,20 @@ def fit(
     bandwidth=None,
     densities: DensityPair = None,
 ):
-    """Grid from the data bounds (+10% margin), densities, energy, solve.
+    """:func:`densities_for` and then :func:`~ofc.solver.train`, which
+    resolves cfg's defaults on the densities' grid.
 
     ``densities`` reuses a pair from :func:`densities_for` on the same
     data and resolution (``bandwidth`` is then unused) instead of
     estimating it again.  Returns (TrainedClassifier, EvolutionTrace); the
     trace's ``phase_seconds`` gains the KDE time as "kde" (0 on reuse).
     """
-    if cfg is None:
-        cfg = TrainConfig()
     kde_s, pair = 0.0, densities
     if pair is None:
         start = time.perf_counter()
         pair = densities_for(data, cfg, bandwidth)
         kde_s = time.perf_counter() - start
-    eps = cfg.eps_h if cfg.eps_h is not None else 1.5 * max(pair.grid.spacing)
-    energy = MeasureEnergy(pair, eps=eps, kind=measure, beta=cfg.beta)
-    model, trace = train(pair, energy, cfg)
+    model, trace = train(pair, cfg, measure)
     trace.phase_seconds = {"kde": kde_s, **trace.phase_seconds}
     return model, trace
 

@@ -276,29 +276,31 @@ def _cmd_field(args) -> int:
 # argument parsing
 
 
+# help of each TrainConfig field's flag; the flag's type is its text parser
+_TRAIN_HELP = {
+    "beta": "F_beta weight",
+    "dt": "time step (default: auto from the initial descent)",
+    "lam": "smoothing weight (default: 0.1 * max spacing^2, set once per run from the grid)",
+    "eps_h": "step smoothing width (default: 1.5 * max spacing, set once per run from the grid)",
+    "tol": "stop when the max nodal update falls below this",
+    "reinit_every": "redistance the field every this many iterations",
+    "max_iter": "stop after this many iterations",
+    "resolution": "grid cells per axis (default: per-dimension choice)",
+    "seed": "recorded in the model's config",
+    "descent": "descent direction: energy derivative or the G surrogate",
+}
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     """Training flags; each one left out keeps the library's default."""
     p.add_argument("--measure", choices=tuple(_MEASURES),
                    help="objective to minimize")
-    p.add_argument("--beta", type=float, help="F_beta weight")
-    p.add_argument("--resolution", type=int,
-                   help="grid cells per axis (default: per-dimension choice)")
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--reinit-every", type=int,
-                   help="redistance the field every this many iterations")
-    p.add_argument("--dt", type=float,
-                   help="time step (default: auto from the initial descent)")
-    p.add_argument("--lam", type=float,
-                   help="smoothing weight (default: 0.1 * max spacing^2)")
-    p.add_argument("--eps-h", type=float,
-                   help="step smoothing width (default: 1.5 * max spacing)")
-    p.add_argument("--tol", type=float,
-                   help="stop when the max nodal update falls below this")
-    p.add_argument("--descent", choices=_DESCENTS,
-                   help="descent direction: energy derivative or the G surrogate")
+    for name in _TRAIN_FLAGS:
+        choices = {"choices": _DESCENTS} if name == "descent" else {}
+        p.add_argument("--" + name.replace("_", "-"), type=CONFIG_PARSERS[name],
+                       help=_TRAIN_HELP[name], **choices)
     p.add_argument("--bandwidth", type=float,
                    help="kernel bandwidth override for both class densities")
-    p.add_argument("--seed", type=int)
     p.add_argument("--label-column", type=int,
                    help="index of the label column (default: last)")
     p.add_argument("--positive-value",

@@ -261,6 +261,11 @@ class ExperimentSpec:
                 raise ValueError(
                     f"unknown classifier {c!r}; choose from {_KNOWN_CLASSIFIERS}"
                 )
+        # a repeat would train and report the same cells twice
+        for name in ("classifiers", "betas"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if not self.betas:

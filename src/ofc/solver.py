@@ -40,8 +40,9 @@ grows with nodes x seeds.  The sign of u is preserved at every node, so
 the classifier is unchanged.
 
 TrainConfig has one text form, derived from its fields and annotations by
-:func:`config_to_text` and :func:`config_from_text`.  ``train`` resolves
-the config once; its trace header and its model both record that snapshot.
+:func:`config_to_text` and :func:`config_from_text`.  ``train`` alone fills
+in a run's defaults, once (``_resolved``, and dt in ``_start``), and builds
+its energy from them; its steps, trace header and model read that config.
 """
 from __future__ import annotations
 
@@ -104,11 +105,11 @@ def default_resolution(dim: int) -> int:
 class TrainConfig:
     """Knobs for one training run.
 
-    dt, lam and eps_h default to None, meaning: resolve from the grid
-    (lam = 0.1 * max spacing squared, eps_h = 1.5 * max spacing) and from
-    the initial descent direction (dt = 0.5 * min spacing / max |descent|).
-    resolution=None picks the per-dimension default.  init=None starts
-    from the default sphere lattice.
+    dt, lam and eps_h default to None: :func:`train` resolves them once,
+    from the grid (lam = 0.1 * max spacing squared, eps_h = 1.5 * max
+    spacing) and the initial descent (dt = 0.5 * min spacing / max
+    |descent|).  resolution=None picks the per-dimension default; a set one
+    must match the grid.  init=None starts from the default sphere lattice.
 
     A run stops at max_iter, after 5 consecutive updates below tol, or at
     the first redistancing whose field scores above the one before it on
@@ -243,10 +244,17 @@ class EvolutionTrace:
         return "\n".join(lines) + "\n"
 
 
-def resolved_lambda(cfg: TrainConfig, grid) -> float:
-    if cfg.lam is not None:
-        return cfg.lam
-    return 0.1 * max(grid.spacing) ** 2
+def _resolved(cfg: TrainConfig, grid) -> TrainConfig:
+    """cfg with unset eps_h and lam from the grid's largest spacing, and as
+    resolution the grid's cell count (None when its axes differ), which a
+    set resolution must equal (ValueError)."""
+    h, cells = max(grid.spacing), set(grid.resolution)
+    res = cells.pop() if len(cells) == 1 else None
+    if cfg.resolution not in (None, res):
+        raise ValueError(f"resolution {cfg.resolution} disagrees with the grid's "
+                         f"cells per axis {grid.resolution}")
+    return replace(cfg, eps_h=1.5 * h if cfg.eps_h is None else cfg.eps_h,
+                   lam=0.1 * h**2 if cfg.lam is None else cfg.lam, resolution=res)
 
 
 def auto_time_step(u: ScalarField, e: MeasureEnergy, cfg: TrainConfig) -> float:
@@ -260,7 +268,6 @@ def auto_time_step(u: ScalarField, e: MeasureEnergy, cfg: TrainConfig) -> float:
 def step(
     u: ScalarField,
     e: MeasureEnergy,
-    d: DensityPair,
     cfg: TrainConfig,
     dt: float = None,
     fractions: tuple = None,
@@ -269,9 +276,10 @@ def step(
     and ValueError when the update's direction is not finite.
 
     ``fractions`` are u's (A, B, C) when already known, e.g. from
-    ``e.evaluate(u, return_fractions=True)``.
+    ``e.evaluate(u, return_fractions=True)``.  A cfg with lam None is
+    resolved on the energy's grid, as :func:`train` resolves it.
     """
-    if u.grid != d.grid:
+    if u.grid != e.pair.grid:
         raise GridMismatchError("field and densities live on different grids")
     if dt is None:
         dt = cfg.dt
@@ -283,7 +291,7 @@ def step(
     # mend, and the returned field is checked.
     w = _Unchecked(u.grid, u.values)
     change = e.descent_direction(w, cfg.descent, fractions).values
-    lam = resolved_lambda(cfg, u.grid)
+    lam = cfg.lam if cfg.lam is not None else _resolved(cfg, u.grid).lam
     if lam != 0.0:
         diffusion = laplacian(w).values
         diffusion *= lam
@@ -449,8 +457,9 @@ def _settle(u, e, cfg, iteration, checkpoint, seconds) -> _Iterate:
     return _Iterate(iteration, u, energy, fractions, score)
 
 
-def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
-    """Evolve a decision field to a minimizer of the energy.
+def train(pair: DensityPair, cfg: TrainConfig = None, measure: str = "f_measure"):
+    """Evolve a decision field to a minimizer of the ``measure`` energy of
+    ``pair``, built from cfg with its unset eps_h and lam resolved.
 
     Returns (TrainedClassifier, EvolutionTrace).  Hitting max_iter is
     reported in the trace status, never raised.  The classifier holds the
@@ -460,20 +469,16 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
     mass, at the start or in an iteration, the run restarts once from the
     default sphere lattice, keeping its records and forgetting its
     checkpoints; a second loss, or one at the closing checkpoint, is raised.
-    The model and trace header record the first start's dt, and the grid's
-    cell count as resolution when every axis shares one.
+    The model and trace header record the resolved config with the first
+    start's dt.
     """
     from .classifier import TrainedClassifier, density_fingerprint
 
-    if d is not e.pair:
-        raise ValueError("the energy must be built on the densities it trains on")
-    grid = d.grid
-    if min(grid.resolution) < _MIN_CELLS_PER_AXIS:
-        raise ValueError(
-            f"training needs at least {_MIN_CELLS_PER_AXIS} cells per axis"
-        )
-    res = grid.resolution[0] if len(set(grid.resolution)) == 1 else cfg.resolution
-    snapshot = None  # the settings this run optimises, as model and trace record them
+    if min(pair.grid.resolution) < _MIN_CELLS_PER_AXIS:
+        raise ValueError(f"training needs at least {_MIN_CELLS_PER_AXIS} cells per axis")
+    cfg = _resolved(TrainConfig() if cfg is None else cfg, pair.grid)
+    e = MeasureEnergy(pair, eps=cfg.eps_h, kind=measure, beta=cfg.beta)
+    snapshot = None  # the settings this run optimises, as steps, model and trace read them
     records: list[TraceRecord] = []
     status = "max-iter"
     restarted = False
@@ -486,10 +491,7 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
             if u is None:
                 u, dt = _start(e, cfg, restarted, seconds)
                 if snapshot is None:
-                    snapshot = replace(
-                        cfg, beta=e.beta, dt=dt, lam=resolved_lambda(cfg, grid),
-                        eps_h=e.eps, resolution=res,
-                    )
+                    snapshot = replace(cfg, dt=dt)
                 fractions = None  # (A, B, C) of u once its evaluate has run
                 consecutive = 0
                 prev = None  # the last checkpoint
@@ -497,7 +499,7 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
             halvings = 0
             while True:
                 try:
-                    u_new = step(u, e, d, cfg, dt, fractions)
+                    u_new = step(u, e, snapshot, dt, fractions)
                     break
                 except StepRejectedError:
                     halvings += 1
@@ -544,7 +546,7 @@ def train(d: DensityPair, e: MeasureEnergy, cfg: TrainConfig):
         beta=e.beta,
         k=e.k,
         config=snapshot,
-        densities_hash=density_fingerprint(d),
+        densities_hash=density_fingerprint(pair),
         degenerate=not has_sign_change(kept.u),
     )
     return model, trace

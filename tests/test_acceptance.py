@@ -85,10 +85,8 @@ def test_01_metric_arithmetic_reference_points():
 def test_02_toy_accuracy_crossing_brackets_bayes():
     started = time.monotonic()
     pair = toy_pair()
-    eps = 1.5 * max(pair.grid.spacing)
-    energy = MeasureEnergy(pair, eps=eps, kind="accuracy")
     cfg = TrainConfig(init=RIGHT_BOX, reinit_every=300, max_iter=12000)
-    model, trace = train(pair, energy, cfg)
+    model, trace = train(pair, cfg, "accuracy")
     crossings = frontier(model)
     elapsed = time.monotonic() - started
     ok = (
@@ -112,7 +110,7 @@ def test_03_toy_f1_crossing_matches_oracle():
     energy = MeasureEnergy(pair, eps=eps)
     base = auto_time_step(init_shape(pair.grid, RIGHT_BOX), energy, TrainConfig())
     cfg = TrainConfig(init=RIGHT_BOX, dt=base / 10, reinit_every=300, max_iter=8000)
-    model, trace = train(pair, energy, cfg)
+    model, trace = train(pair, cfg)
     crossings = frontier(model)
     # brute-force sweep over analytic Gaussian tails
     taus = np.linspace(-2.0, 6.0, 2000)

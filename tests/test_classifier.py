@@ -17,6 +17,7 @@ from ofc.classifier import (
     TrainedClassifier,
     _marching_squares,
     _stitch,
+    densities_for,
     density_fingerprint,
     fit,
     frontier,
@@ -27,7 +28,7 @@ from ofc.classifier import (
     save,
 )
 from ofc.field import Box, GridSpec, ScalarField, Sphere, SphereLattice, init_shape
-from ofc.solver import TrainConfig, reinitialize
+from ofc.solver import TrainConfig, reinitialize, train
 
 
 def manual_model(u, degenerate=False, config=None):
@@ -85,6 +86,27 @@ def test_fit_single_class_data_errors():
     data = LabeledDataset(points=pts, labels=np.ones(4, dtype=bool))
     with pytest.raises(DegenerateDataError):
         fit(data, TrainConfig(resolution=16, max_iter=2))
+
+
+@pytest.mark.parametrize("measure, descent", [
+    ("f_measure", "derivative"), ("accuracy", "derivative"), ("f_measure", "G"),
+])
+def test_fit_is_densities_for_then_train(measure, descent):
+    data = gen_db(4, seed=0)
+    cfg = TrainConfig(resolution=32, max_iter=130, reinit_every=20, descent=descent)
+    model, trace = fit(data, cfg, measure)
+    again, again_trace = train(densities_for(data, cfg), cfg, measure)
+    assert model.u.values.tobytes() == again.u.values.tobytes()
+    assert trace.to_csv() == again_trace.to_csv()
+    assert model.config == again.config
+    assert model.densities_hash == again.densities_hash
+
+
+def test_fit_rejects_densities_at_another_resolution():
+    data = gen_db(4, seed=0)
+    coarse = densities_for(data, TrainConfig(resolution=32))
+    with pytest.raises(ValueError, match=r"resolution 64 .* cells per axis \(32, 32\)"):
+        fit(data, TrainConfig(resolution=64, max_iter=5), densities=coarse)
 
 
 def test_fit_is_deterministic():

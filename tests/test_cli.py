@@ -423,6 +423,35 @@ def test_eval_bad_measure_is_usage_error(tmp_path, separable_csv, capsys, keys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep-beta"])
+@pytest.mark.parametrize("keys", [{"classifiers": "nb, nb"}, {"betas": "1.0,1"}])
+def test_repeated_cells_are_usage_error(tmp_path, separable_csv, capsys, command, keys):
+    cfg = eval_config(tmp_path / "exp.cfg", separable_csv, **keys)
+    out = tmp_path / "s.csv"
+    assert run(command, "--config", cfg, "--out", out) == 1
+    assert "must not repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_flags_come_from_the_config_parsers():
+    from ofc.cli import build_parser
+    from ofc.energy import _DESCENTS
+    from ofc.solver import CONFIG_PARSERS
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    actions = sub.choices["train"]._actions
+    for name, parse in CONFIG_PARSERS.items():
+        flags = [a for a in actions if a.dest == name]
+        if name == "init":
+            assert not flags
+            continue
+        assert len(flags) == 1, name
+        assert flags[0].option_strings == ["--" + name.replace("_", "-")]
+        assert flags[0].type is parse and flags[0].default is None
+    (descent,) = [a for a in actions if a.dest == "descent"]
+    assert tuple(descent.choices) == _DESCENTS
+
+
 def test_eval_subsample_below_one_is_usage_error(tmp_path, separable_csv):
     cfg = eval_config(tmp_path / "exp.cfg", separable_csv, subsample=0)
     assert run("eval", "--config", cfg, "--out", tmp_path / "s.csv") == 1

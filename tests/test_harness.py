@@ -233,6 +233,14 @@ def test_experiment_spec_validation():
         ExperimentSpec(data=data, workers=0)
 
 
+def test_experiment_spec_rejects_repeated_cells():
+    data = small_separable()
+    with pytest.raises(ValueError, match="classifiers must not repeat"):
+        ExperimentSpec(data=data, classifiers=("nb", "nb"))
+    with pytest.raises(ValueError, match="betas must not repeat"):
+        ExperimentSpec(data=data, betas=(1.0, 2.0, 1))
+
+
 def test_experiment_smoke_two_rows_no_failures():
     spec = ExperimentSpec(
         data=small_separable(),

@@ -35,7 +35,6 @@ from ofc.solver import (
     default_resolution,
     has_sign_change,
     reinitialize,
-    resolved_lambda,
     step,
     train,
 )
@@ -103,16 +102,15 @@ def trained_f1(toy):
     energy = MeasureEnergy(pair, eps=eps)
     base = auto_time_step(init_shape(pair.grid, RIGHT_BOX), energy, TrainConfig())
     cfg = TrainConfig(init=RIGHT_BOX, dt=base / 10, reinit_every=300, max_iter=8000)
-    model, trace = train(pair, energy, cfg)
+    model, trace = train(pair, cfg)
     return model, trace, energy, cfg
 
 
 @pytest.fixture(scope="module")
 def trained_accuracy(toy):
-    pair, eps = toy
-    energy = MeasureEnergy(pair, eps=eps, kind="accuracy")
+    pair, _ = toy
     cfg = TrainConfig(init=RIGHT_BOX, reinit_every=300, max_iter=12000)
-    model, trace = train(pair, energy, cfg)
+    model, trace = train(pair, cfg, "accuracy")
     return model, trace
 
 
@@ -150,12 +148,22 @@ def test_default_resolution_by_dimension():
     assert default_resolution(5) == 16
 
 
-def test_resolved_lambda():
+def test_resolved_defaults_come_from_the_grid():
     grid = GridSpec(bounds=TOY_BOUNDS, resolution=100)
     h = max(grid.spacing)
-    assert resolved_lambda(TrainConfig(), grid) == pytest.approx(0.1 * h * h)
-    assert resolved_lambda(TrainConfig(lam=0.7), grid) == 0.7
-    assert resolved_lambda(TrainConfig(lam=0.0), grid) == 0.0
+    cfg = solver._resolved(TrainConfig(), grid)
+    assert cfg.lam == pytest.approx(0.1 * h * h)
+    assert cfg.eps_h == pytest.approx(1.5 * h)
+    assert cfg.resolution == 100 and cfg.dt is None
+    assert solver._resolved(TrainConfig(lam=0.7), grid).lam == 0.7
+    assert solver._resolved(TrainConfig(lam=0.0), grid).lam == 0.0
+    assert solver._resolved(TrainConfig(eps_h=0.3), grid).eps_h == 0.3
+    assert solver._resolved(TrainConfig(resolution=100), grid).resolution == 100
+    # a grid whose axes differ has no one cell count to record or to match
+    uneven = GridSpec(bounds=TOY_BOUNDS * 2, resolution=(8, 16))
+    assert solver._resolved(TrainConfig(), uneven).resolution is None
+    with pytest.raises(ValueError, match=r"resolution 8 .* cells per axis \(8, 16\)"):
+        solver._resolved(TrainConfig(resolution=8), uneven)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +191,7 @@ def test_step_fixed_point_without_diffusion():
     pair = balanced_pair()
     energy = MeasureEnergy(pair, eps=0.05, kind="accuracy")
     u = ScalarField(pair.grid, np.sin(pair.grid.axes()[0]))
-    out = step(u, energy, pair, TrainConfig(lam=0.0), dt=0.3)
+    out = step(u, energy, TrainConfig(lam=0.0), dt=0.3)
     assert np.array_equal(out.values, u.values)
 
 
@@ -195,7 +203,7 @@ def test_step_pure_diffusion_contracts():
     energy = MeasureEnergy(pair, eps=0.05, kind="accuracy")
     u = ScalarField(grid, np.sin(2.0 * grid.axes()[0]))
     cfg = TrainConfig(lam=0.05)
-    out = step(u, energy, pair, cfg, dt=0.01)
+    out = step(u, energy, cfg, dt=0.01)
     expected = u.values + 0.01 * 0.05 * laplacian(u).values
     np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-15)
     interior = np.abs(out.values[2:-2])
@@ -207,7 +215,7 @@ def test_step_rejects_oversized_updates(toy):
     energy = MeasureEnergy(pair, eps=eps)
     u = init_shape(pair.grid, RIGHT_BOX)
     with pytest.raises(StepRejectedError):
-        step(u, energy, pair, TrainConfig(), dt=1e9)
+        step(u, energy, TrainConfig(), dt=1e9)
 
 
 def test_step_with_nan_update_raises(toy):
@@ -216,7 +224,7 @@ def test_step_with_nan_update_raises(toy):
     energy = MeasureEnergy(pair, eps=eps)
     u = init_shape(pair.grid, RIGHT_BOX)
     with pytest.raises(ValueError, match="finite"):
-        step(u, energy, pair, TrainConfig(), dt=float("nan"))
+        step(u, energy, TrainConfig(), dt=float("nan"))
 
 
 def test_step_with_non_finite_diffusion_raises_without_halving(toy):
@@ -229,7 +237,7 @@ def test_step_with_non_finite_diffusion_raises_without_halving(toy):
         with pytest.raises(ValueError, match="finite"):
             laplacian(u)
         with pytest.raises(ValueError, match="finite"):
-            step(u, energy, pair, TrainConfig(lam=0.05), dt=0.01)
+            step(u, energy, TrainConfig(lam=0.05), dt=0.01)
 
 
 def test_step_requires_matching_grid_and_dt(toy):
@@ -239,9 +247,9 @@ def test_step_requires_matching_grid_and_dt(toy):
     other_grid = GridSpec(bounds=TOY_BOUNDS, resolution=17)
     other = ScalarField(other_grid, np.zeros(other_grid.shape))
     with pytest.raises(GridMismatchError):
-        step(other, energy, pair, TrainConfig(), dt=0.1)
+        step(other, energy, TrainConfig(), dt=0.1)
     with pytest.raises(ValueError):
-        step(u, energy, pair, TrainConfig())  # dt unresolved
+        step(u, energy, TrainConfig())  # dt unresolved
 
 
 def test_one_step_lowers_energy(toy):
@@ -249,7 +257,7 @@ def test_one_step_lowers_energy(toy):
     energy = MeasureEnergy(pair, eps=eps)
     u = ScalarField(pair.grid, pair.grid.axes()[0] - 2.0)
     dt = auto_time_step(u, energy, TrainConfig()) / 10
-    stepped = step(u, energy, pair, TrainConfig(lam=0.0), dt=dt)
+    stepped = step(u, energy, TrainConfig(lam=0.0), dt=dt)
     assert energy.evaluate(stepped) < energy.evaluate(u)
 
 
@@ -630,7 +638,7 @@ def test_train_g_direction_optimizes_its_surrogate(toy):
     cfg = TrainConfig(
         init=RIGHT_BOX, dt=base / 30, reinit_every=300, max_iter=12000, descent="G"
     )
-    model, trace = train(pair, energy, cfg)
+    model, trace = train(pair, cfg)
     taus = np.linspace(-2.0, 6.0, 2000)
     a = ndtr(3.0 - taus)
     ratio = np.where(a > 1e-9, (ndtr(taus - 3.0) + ndtr(1.0 - taus)) / a, np.inf)
@@ -652,7 +660,7 @@ def test_train_lattice_offsets_agree(toy):
             reinit_every=300,
             max_iter=12000,
         )
-        model, _ = train(pair, energy, cfg)
+        model, _ = train(pair, cfg)
         first.append(frontier(model)[0])
     assert max(first) - min(first) <= 0.01
 
@@ -671,7 +679,7 @@ def test_train_separable_classes_perfectly():
     box = Box(lo=(-0.9,), hi=(2.0,))
     base = auto_time_step(init_shape(grid, box), energy, TrainConfig())
     cfg = TrainConfig(init=box, dt=base / 10, reinit_every=300, max_iter=6000)
-    model, _ = train(pair, energy, cfg)
+    model, _ = train(pair, cfg)
     vals = model.u.values
     assert np.all(vals[(x >= 0.0) & (x <= 1.0)] > 0)  # every positive kept
     assert np.all(vals[(x >= 4.0) & (x <= 5.0)] < 0)  # every negative excluded
@@ -684,7 +692,7 @@ def test_train_without_diffusion_descends_monotonically(toy):
     cfg = TrainConfig(
         init=RIGHT_BOX, dt=base / 10, lam=0.0, reinit_every=300, max_iter=600
     )
-    _, trace = train(pair, energy, cfg)
+    _, trace = train(pair, cfg)
     e = np.array([r.energy for r in trace.records])
     plain = ~np.array([r.reinit for r in trace.records[1:]])
     drops = (e[1:] <= e[:-1] + 1e-9)[plain]
@@ -702,10 +710,10 @@ def test_train_restarts_when_initialization_misses_positive_mass():
         p_count=100,
         n_count=100,
     )
-    energy = MeasureEnergy(pair, eps=1e-15)  # no smoothing leakage into A
     far_box = Box(lo=(-1.9,), hi=(-1.7,))
-    cfg = TrainConfig(init=far_box, dt=1e-6, max_iter=2)
-    model, trace = train(pair, energy, cfg)
+    # eps_h this small lets no smoothing leak into A
+    cfg = TrainConfig(init=far_box, dt=1e-6, eps_h=1e-15, max_iter=2)
+    model, trace = train(pair, cfg)
     assert trace.restarted
     assert len(trace.records) >= 1
     assert all(np.isfinite(r.energy) for r in trace.records)
@@ -722,17 +730,15 @@ def test_train_raises_when_restart_also_misses_positive_mass():
         p_count=100,
         n_count=100,
     )
-    energy = MeasureEnergy(pair, eps=1e-15)
-    cfg = TrainConfig(init=Box(lo=(-1.9,), hi=(-1.7,)), dt=1e-6, max_iter=2)
+    cfg = TrainConfig(init=Box(lo=(-1.9,), hi=(-1.7,)), dt=1e-6, eps_h=1e-15, max_iter=2)
     with pytest.raises(VanishingPositiveMassError):
-        train(pair, energy, cfg)
+        train(pair, cfg)
 
 
 def test_train_reports_max_iter(toy):
-    pair, eps = toy
-    energy = MeasureEnergy(pair, eps=eps)
+    pair, _ = toy
     cfg = TrainConfig(init=RIGHT_BOX, reinit_every=300, max_iter=3)
-    model, trace = train(pair, energy, cfg)
+    model, trace = train(pair, cfg)
     assert trace.status == "max-iter"
     assert len(trace.records) == 3
     assert not trace.restarted
@@ -752,7 +758,7 @@ def test_train_integrates_each_field_once(toy, monkeypatch):
 
     monkeypatch.setattr(MeasureEnergy, "_fractions", counted)
     cfg = TrainConfig(init=RIGHT_BOX, dt=dt, reinit_every=4, max_iter=10)
-    _, trace = train(pair, energy, cfg)
+    _, trace = train(pair, cfg)
     assert len(trace.records) == 10
     # the starting field, one per iterate, and the result, redistanced after
     # iteration 10 for its final energy
@@ -774,7 +780,7 @@ def test_train_redistances_the_result_once(toy, monkeypatch, max_iter, expected)
 
     monkeypatch.setattr(solver, "reinitialize", counted)
     cfg = TrainConfig(init=RIGHT_BOX, dt=dt, tol=1e-300, reinit_every=50, max_iter=max_iter)
-    model, trace = train(pair, energy, cfg)
+    model, trace = train(pair, cfg)
     assert len(trace.records) == max_iter
     assert len(calls) == expected
     assert trace.records[-1].reinit == (max_iter % 50 == 0)
@@ -786,14 +792,13 @@ def test_train_rejects_tiny_grids():
     f = ScalarField(grid, np.ones(grid.shape))
     pair = DensityPair(f_pos=f, f_neg=f, p_count=1, n_count=1)
     with pytest.raises(ValueError):
-        train(pair, MeasureEnergy(pair, eps=0.05), TrainConfig())
+        train(pair, TrainConfig())
 
 
 def test_trace_csv_layout(toy):
-    pair, eps = toy
-    energy = MeasureEnergy(pair, eps=eps)
+    pair, _ = toy
     cfg = TrainConfig(init=RIGHT_BOX, reinit_every=2, max_iter=5)
-    _, trace = train(pair, energy, cfg)
+    _, trace = train(pair, cfg)
     lines = trace.to_csv().splitlines()
     header = [l for l in lines if l.startswith("# ")]
     for key in ("beta=", "measure=", "descent=", "dt=", "lam=", "eps_h=",
@@ -814,30 +819,47 @@ def test_trace_csv_layout(toy):
 def test_trace_header_and_model_config_record_the_energy_beta(toy):
     pair, eps = toy
     energy = MeasureEnergy(pair, eps=eps, beta=3.0)
-    model, trace = train(pair, energy, TrainConfig(init=RIGHT_BOX, max_iter=5))
+    model, trace = train(pair, TrainConfig(beta=3.0, init=RIGHT_BOX, max_iter=5))
     assert model.beta == model.config.beta == 3.0
     assert model.config.eps_h == eps
-    assert model.config.lam == resolved_lambda(TrainConfig(), pair.grid)
+    assert model.config.lam == 0.1 * max(pair.grid.spacing) ** 2
     assert trace.header == {
         "measure": "f_measure", "k": repr(energy.k), **config_to_text(model.config),
     }
     assert "# beta=3.0" in trace.to_csv().splitlines()
 
 
-def test_train_rejects_an_energy_built_on_other_densities(toy):
-    pair, eps = toy
-    swapped = DensityPair(f_pos=pair.f_neg, f_neg=pair.f_pos,
-                          p_count=pair.p_count, n_count=pair.n_count)
-    with pytest.raises(ValueError, match="densities"):
-        train(swapped, MeasureEnergy(pair, eps=eps), TrainConfig(init=RIGHT_BOX, max_iter=5))
+def test_default_config_resolves_every_default():
+    from ofc.classifier import densities_for
+    from ofc.data import gen_db
+
+    pair = densities_for(gen_db(4, seed=0), TrainConfig(resolution=32))
+    model, trace = train(pair)
+    for name in ("dt", "lam", "eps_h", "resolution"):
+        assert getattr(model.config, name) is not None, name
+    assert model.config.resolution == 32
+    assert model.config.eps_h == 1.5 * max(pair.grid.spacing)
+    assert trace.header == {
+        "measure": "f_measure", "k": repr(model.k), **config_to_text(model.config),
+    }
+
+
+def test_explicit_settings_reach_the_model_unchanged(toy):
+    pair, _ = toy
+    cfg = TrainConfig(beta=2.0, eps_h=0.5, lam=0.01, init=RIGHT_BOX, max_iter=5)
+    for measure in ("f_measure", "accuracy"):
+        model, trace = train(pair, cfg, measure)
+        assert model.config == replace(cfg, dt=model.config.dt, resolution=1024)
+        assert model.beta == 2.0 and model.kind == measure
+        assert trace.header["beta"] == "2.0" and trace.header["eps_h"] == "0.5"
+        assert trace.header["lam"] == "0.01"
 
 
 def test_train_is_deterministic(toy):
-    pair, eps = toy
-    energy = MeasureEnergy(pair, eps=eps)
+    pair, _ = toy
     cfg = TrainConfig(init=RIGHT_BOX, reinit_every=50, max_iter=120)
-    m1, t1 = train(pair, energy, cfg)
-    m2, t2 = train(pair, energy, cfg)
+    m1, t1 = train(pair, cfg)
+    m2, t2 = train(pair, cfg)
     assert t1.to_csv() == t2.to_csv()
     assert m1.u.values.tobytes() == m2.u.values.tobytes()
 
@@ -851,7 +873,7 @@ def test_trace_diagnostics_describe_the_returned_field(toy):
     energy = MeasureEnergy(pair, eps=eps)
     # a first dt far above the guard's limit is halved until steps pass
     cfg = TrainConfig(init=RIGHT_BOX, dt=1e9, reinit_every=50, max_iter=20)
-    model, trace = train(pair, energy, cfg)
+    model, trace = train(pair, cfg)
     assert trace.dt_halvings > 0
     assert trace.final_dt == 1e9 * 0.5 ** trace.dt_halvings
     assert trace.stationarity_residual == energy.stationarity_residual(model.u)
@@ -962,7 +984,7 @@ def test_restart_clears_the_kept_field(toy, monkeypatch):
     monkeypatch.setattr(solver, "step", step_that_loses_the_mass_once)
     scores = _spy_scores(monkeypatch)
     cfg = TrainConfig(init=RIGHT_BOX, reinit_every=5, max_iter=12)
-    _, trace = train(pair, MeasureEnergy(pair, eps=eps), cfg)
+    _, trace = train(pair, cfg)
     assert trace.restarted
     assert scores[1] > scores[0]
     assert trace.status == "max-iter"
@@ -982,7 +1004,7 @@ def test_restart_mid_run_numbers_and_times_every_iteration(toy, monkeypatch):
 
     monkeypatch.setattr(solver, "step", step_that_loses_the_mass_once)
     cfg = TrainConfig(init=RIGHT_BOX, reinit_every=5, max_iter=12)
-    model, trace = train(pair, energy, cfg)
+    model, trace = train(pair, cfg)
     assert trace.restarted
     assert [r.iteration for r in trace.records] == list(range(1, 13))
     assert [r.reinit for r in trace.records].count(True) == 2
@@ -1006,8 +1028,8 @@ def test_restart_at_the_start_records_the_lattice_dt():
         n_count=100,
     )
     energy = MeasureEnergy(pair, eps=1e-15)
-    cfg = TrainConfig(init=Box(lo=(-1.9,), hi=(-1.7,)), max_iter=2)
-    model, trace = train(pair, energy, cfg)
+    cfg = TrainConfig(init=Box(lo=(-1.9,), hi=(-1.7,)), eps_h=1e-15, max_iter=2)
+    model, trace = train(pair, cfg)
     dt = auto_time_step(init_shape(grid, SphereLattice()), energy, cfg)
     assert trace.restarted
     assert model.config.dt == dt
@@ -1045,8 +1067,7 @@ def test_model_records_the_cell_count_of_the_grid_it_trained_on():
 
     data = gen_toy1d(seed=1).subset(np.arange(0, 51000, 100))
     pair = densities_for(data, TrainConfig(resolution=256))
-    energy = MeasureEnergy(pair, eps=1.5 * pair.grid.spacing[0])
-    model, trace = train(pair, energy, TrainConfig(max_iter=5))
+    model, trace = train(pair, TrainConfig(max_iter=5))
     assert model.config.resolution == 256
     assert trace.header["resolution"] == "256"
     refit, _ = fit(data, model.config)
