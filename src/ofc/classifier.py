@@ -35,7 +35,9 @@ from .field import (
     field_to_text,
     interpolate,
 )
-from .solver import TrainConfig, config_from_text, config_to_text, default_resolution, train
+from .solver import (
+    TrainConfig, config_from_text, config_to_text, default_resolution, has_sign_change, train
+)
 
 _FORMAT_NAME = "ofc-model"
 _FORMAT_VERSION = 1
@@ -79,7 +81,7 @@ def densities_for(data: LabeledDataset, cfg: TrainConfig = None, bandwidth=None)
     if cfg is None:
         cfg = TrainConfig()
     res = cfg.resolution if cfg.resolution is not None else default_resolution(data.dim)
-    grid = GridSpec.from_points(data.points, resolution=res, margin=0.1)
+    grid = GridSpec.from_points(data.points, resolution=res)
     return estimate_pair(data, grid, bandwidth=bandwidth)
 
 
@@ -117,14 +119,14 @@ class PredictionResult(NamedTuple):
 def predict_full(m: TrainedClassifier, points) -> PredictionResult:
     """Labels plus decision values and an out-of-bounds flag per point."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    values = np.atleast_1d(interpolate(m.u, pts, clamp=True))
+    values = np.atleast_1d(interpolate(m.u, pts))
     clamped = ((pts < m.grid.mins) | (pts > m.grid.maxs)).any(axis=1)
     return PredictionResult(values >= 0, values, clamped)
 
 
 def predict(m: TrainedClassifier, points) -> np.ndarray:
     """True where the model assigns the positive class (u >= 0)."""
-    return interpolate(m.u, np.atleast_2d(points), clamp=True) >= 0
+    return interpolate(m.u, np.atleast_2d(points)) >= 0
 
 
 def frontier(m: TrainedClassifier):
@@ -305,13 +307,15 @@ def load(path) -> TrainedClassifier:
         key, sep, value = line.partition("=")
         if not sep:
             raise ModelFormatError(f"{path}: malformed line {n + 1}: {line!r}")
+        if key in kv:
+            raise ModelFormatError(f"{path}: line {n + 1} repeats {key!r}")
         kv[key] = value
     if field_start is None:
         raise ModelFormatError(f"{path}: missing field section (truncated?)")
     try:
         u = field_from_text("\n".join(lines[field_start:]) + "\n")
         config = {k.removeprefix("config."): v for k, v in kv.items() if k.startswith("config.")}
-        return TrainedClassifier(
+        m = TrainedClassifier(
             u=u,
             kind=kv["kind"],
             beta=float(kv["beta"]),
@@ -326,3 +330,9 @@ def load(path) -> TrainedClassifier:
         raise ModelFormatError(f"{path}: missing entry {exc} (truncated?)") from None
     except Exception as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
+    # the model states some facts twice; a file whose copies disagree is corrupt
+    if m.beta != m.config.beta:
+        raise ModelFormatError(f"{path}: beta={m.beta!r} but config.beta={m.config.beta!r}")
+    if m.degenerate == has_sign_change(m.u):
+        raise ModelFormatError(f"{path}: degenerate={int(m.degenerate)} disagrees with the field")
+    return m

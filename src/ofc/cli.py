@@ -132,8 +132,7 @@ _TRAIN_KEYS = {
 }
 _SPEC_KEYS = {
     "classifiers": _names, "repetitions": int, "folds": int, "betas": _floats,
-    "seed": int, "workers": int, "oracle_steps": int, "measure": str,
-    "bandwidth": float,
+    "seed": int, "workers": int, "measure": str, "bandwidth": float,
 }
 _SPEC_FIELDS = {"measure": "ofc_measure", "bandwidth": "ofc_bandwidth"}
 

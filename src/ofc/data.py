@@ -256,36 +256,27 @@ def load_skin(path) -> LabeledDataset:
     return data
 
 
-def kfold(data: LabeledDataset, folds: int, seed: int = 0, stratified: bool = True):
-    """Split into ``folds`` (train_idx, test_idx) pairs.
+def kfold(data: LabeledDataset, folds: int, seed: int = 0):
+    """Split into ``folds`` stratified (train_idx, test_idx) pairs.
 
-    Stratified splitting shuffles each class separately and deals its
-    indices across folds, so per-fold class counts differ by at most one.
+    Each class is shuffled separately and its indices are dealt across
+    folds, so per-fold class counts differ by at most one.
     """
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     n = len(data.labels)
     rng = np.random.default_rng(seed)
-    if stratified:
-        groups = [np.flatnonzero(data.labels), np.flatnonzero(~data.labels)]
-        for g in groups:
-            if len(g) < folds:
-                raise InsufficientClassError(
-                    f"a class has {len(g)} samples, fewer than {folds} folds"
-                )
-        test_sets = [[] for _ in range(folds)]
-        for g in groups:
-            for f, chunk in enumerate(np.array_split(rng.permutation(g), folds)):
-                test_sets[f].append(chunk)
-        tests = [np.sort(np.concatenate(chunks)) for chunks in test_sets]
-    else:
-        if n < folds:
-            raise InsufficientClassError(f"{n} samples cannot fill {folds} folds")
-        tests = [np.sort(c) for c in np.array_split(rng.permutation(n), folds)]
+    groups = [np.flatnonzero(data.labels), np.flatnonzero(~data.labels)]
+    for g in groups:
+        if len(g) < folds:
+            raise InsufficientClassError(
+                f"a class has {len(g)} samples, fewer than {folds} folds"
+            )
+    splits = [np.array_split(rng.permutation(g), folds) for g in groups]
     out = []
-    everything = np.arange(n)
-    for test in tests:
-        mask = np.ones(n, dtype=bool)
-        mask[test] = False
-        out.append((everything[mask], test))
+    for chunks in zip(*splits):  # fold f's chunk of each class
+        test = np.sort(np.concatenate(chunks))
+        train = np.ones(n, dtype=bool)
+        train[test] = False
+        out.append((np.flatnonzero(train), test))
     return out

@@ -94,16 +94,16 @@ def check_measure(kind: str, descent: str = "derivative") -> None:
 class MeasureEnergy:
     """Energy functional for one density pair, measure and smoothing width.
 
-    kind "f_measure" uses beta (and an optional explicit k overriding the
-    default beta**2 * p_count / n_count); kind "accuracy" ignores both.
-    The pair's density values are read once, at construction.
+    kind "f_measure" uses beta, through k = beta**2 * p_count / n_count;
+    kind "accuracy" ignores beta and has k None.  The pair's density values
+    are read once, at construction.
     """
 
     pair: DensityPair
     eps: float
     kind: str = "f_measure"
     beta: float = 1.0
-    k: float = field(default=None)  # type: ignore[assignment]
+    k: float = field(init=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         check_measure(self.kind)
@@ -111,11 +111,9 @@ class MeasureEnergy:
         check_positive("beta", self.beta)
         object.__setattr__(self, "beta", float(self.beta))
         if self.kind == "f_measure":
-            k = self.beta**2 * self.pair.p_count / self.pair.n_count if self.k is None else self.k
+            k = self.beta**2 * self.pair.p_count / self.pair.n_count
             check_positive("k", k)
             object.__setattr__(self, "k", float(k))
-        elif self.k is not None:
-            raise ValueError("k only applies to the f_measure energy")
         # quadrature-weighted densities, one row per class, and half their
         # masses: the fractions are then one matrix-vector product
         w = _quadrature_weights(self.pair.grid)

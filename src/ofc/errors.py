@@ -54,10 +54,6 @@ class GridMismatchError(OfcError):
     """Fields that must share a grid do not."""
 
 
-class OutOfDomainError(OfcError):
-    """Query point outside the grid bounds with clamping disabled."""
-
-
 class InvalidShapeError(OfcError):
     """Degenerate or out-of-bounds initialization geometry."""
 

@@ -52,9 +52,11 @@ from .errors import (
     DimensionError,
     InvalidShapeError,
     NonFiniteError,
-    OutOfDomainError,
     ParseError,
 )
+
+
+_MARGIN = 0.1  # of a point cloud's range, added per side by from_points
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,8 @@ class GridSpec:
         return np.meshgrid(*self.axes(), indexing="ij")
 
     @classmethod
-    def from_points(cls, points: np.ndarray, resolution, margin: float = 0.1) -> "GridSpec":
-        """Bounding box of ``points`` expanded by ``margin`` of the range per side."""
+    def from_points(cls, points: np.ndarray, resolution) -> "GridSpec":
+        """Bounding box of ``points`` expanded by a tenth of the range per side."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         # one column at a time: numpy reduces a tall (n, d) array over axis 0
         # row by row, at several times the cost
@@ -136,7 +138,7 @@ class GridSpec:
         hi = np.array([col.max() for col in pts.T])
         width = hi - lo
         # a constant feature still needs a usable axis
-        pad = np.where(width > 0, margin * width, np.maximum(1.0, np.abs(lo)) * margin)
+        pad = np.where(width > 0, _MARGIN * width, np.maximum(1.0, np.abs(lo)) * _MARGIN)
         return cls(tuple(zip(lo - pad, hi + pad)), resolution)
 
 
@@ -199,12 +201,11 @@ def integrate(f: ScalarField) -> float:
     return float(np.sum(f.values * _quadrature_weights(f.grid)))
 
 
-def interpolate(f: ScalarField, points, clamp: bool = True):
+def interpolate(f: ScalarField, points):
     """Multilinear interpolation at one point ``(d,)`` or a batch ``(n, d)``.
 
-    Out-of-domain queries are clamped to the boundary unless ``clamp`` is
-    False, in which case they raise :class:`OutOfDomainError`.  Queries
-    containing nan or infinity raise :class:`NonFiniteError`.
+    Out-of-domain queries are clamped to the boundary.  Queries containing
+    nan or infinity raise :class:`NonFiniteError`.
     """
     grid = f.grid
     pts = np.asarray(points, dtype=float)
@@ -214,11 +215,8 @@ def interpolate(f: ScalarField, points, clamp: bool = True):
         raise DimensionError(f"points have {pts.shape[1]} coords, grid has {grid.dim}")
     if not np.isfinite(pts).all():
         raise NonFiniteError("query points must be finite")
-    lo, hi = grid.mins, grid.maxs
-    if clamp:
-        pts = np.clip(pts, lo, hi)
-    elif ((pts < lo) | (pts > hi)).any():
-        raise OutOfDomainError("query point outside grid bounds")
+    lo = grid.mins
+    pts = np.clip(pts, lo, grid.maxs)
     vals = f.values.ravel()
     out = np.zeros(len(pts))
     for index, weight in _cell_corners(((pts - lo) / np.asarray(grid.spacing)).T, grid.shape):

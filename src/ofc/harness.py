@@ -1,11 +1,11 @@
 """Baselines and the repeated cross-validation experiment driver.
 
 Two reference classifiers accompany the level-set model: a Gaussian Naive
-Bayes baseline and a brute-force 1-D threshold sweep that serves as the
-ground-truth optimum on one-dimensional problems.  `run_experiment`
-repeats stratified k-fold cross-validation for every requested classifier
-and beta, pools the confusion counts of each test fold, turns them into
-fold metrics, and reports mean +- std across repetitions.
+Bayes baseline and a threshold oracle, exact on 1-D data and refused by an
+experiment on more features.  `run_experiment` repeats stratified k-fold
+cross-validation for every requested classifier and beta, pools the
+confusion counts of each test fold, turns them into fold metrics, and
+reports mean +- std across repetitions.
 
 The unit of work is one (repetition, fold) split, run serially.  Work
 that does not depend on beta runs once per split: the level-set class
@@ -50,6 +50,7 @@ from .solver import TrainConfig
 logger = logging.getLogger(__name__)
 
 _SQRT_HALF = math.sqrt(0.5)
+_NB_VAR_FLOOR = 1e-9  # naive Bayes' least variance: a constant feature stays finite
 
 
 def _normal_cdf(z):
@@ -82,10 +83,14 @@ class AnalyticToy:
     lo: float = -2.0
     hi: float = 6.0
 
-    def counts_at(self, tau) -> ConfusionCounts:
-        tau = float(tau)
+    def _misses(self, tau):
+        """Expected (fn, fp) at ``tau``: floats for a float, arrays for an array."""
         fn = self.p_count * _normal_cdf((tau - self.pos_mean) / self.sigma)
         fp = self.n_count * _normal_cdf((self.neg_mean - tau) / self.sigma)
+        return fn, fp
+
+    def counts_at(self, tau) -> ConfusionCounts:
+        fn, fp = self._misses(float(tau))
         return ConfusionCounts(
             tp=self.p_count - fn, fn=fn, fp=fp, tn=self.n_count - fp
         )
@@ -127,19 +132,17 @@ class NaiveBayesModel:
     log_prior_ratio: float  # log P(+) - log P(-)
 
 
-def naive_bayes_fit(data: LabeledDataset, var_floor: float = 1e-9) -> NaiveBayesModel:
+def naive_bayes_fit(data: LabeledDataset) -> NaiveBayesModel:
     pos, neg = data.positives(), data.negatives()
     if len(pos) < 2 or len(neg) < 2:
         raise DegenerateDataError(
             f"naive Bayes needs at least 2 samples per class, got "
             f"{len(pos)} positive and {len(neg)} negative"
         )
-    stats = []
-    for name, pts in (("positive", pos), ("negative", neg)):
-        var = np.maximum(pts.var(axis=0), var_floor)
-        if (var <= 0).any():
-            raise DegenerateDataError(f"{name} class has a zero-variance feature")
-        stats.append((pts.mean(axis=0), var))
+    stats = [
+        (pts.mean(axis=0), np.maximum(pts.var(axis=0), _NB_VAR_FLOOR))
+        for pts in (pos, neg)
+    ]
     return NaiveBayesModel(
         pos_mean=stats[0][0],
         pos_var=stats[0][1],
@@ -171,7 +174,7 @@ def naive_bayes_predict(m: NaiveBayesModel, points) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# brute-force threshold oracle (1-D)
+# threshold oracle (1-D)
 
 
 def _metric_curves(tp, fn, fp, tn, beta, metric):
@@ -187,18 +190,18 @@ def _metric_curves(tp, fn, fp, tn, beta, metric):
 def threshold_oracle(source, beta: float = 1.0, steps: int = 2000, metric: str = "f_beta"):
     """Best single threshold for labeling x >= tau positive.
 
-    ``source`` is a 1-D LabeledDataset (empirical counts) or an
-    AnalyticToy (exact tail integrals).  Sweeps ``steps`` equally spaced
-    taus and returns (tau*, metrics at tau*); ties resolve to the
-    smallest tau.
+    On a 1-D LabeledDataset the result is the exact empirical optimum: the
+    taus tried are -inf, the middle of each gap between distinct values,
+    and inf.  On an AnalyticToy, ``steps`` equally spaced taus are swept
+    against the exact tail integrals.  Returns (tau*, metrics at tau*);
+    ties resolve to the smallest tau.
     """
     check_positive("beta", beta)
-    if steps < 2:
-        raise ValueError(f"need at least 2 sweep steps, got {steps}")
     if isinstance(source, AnalyticToy):
+        if steps < 2:
+            raise ValueError(f"need at least 2 sweep steps, got {steps}")
         taus = np.linspace(source.lo, source.hi, steps)
-        fn = source.p_count * _normal_cdf((taus - source.pos_mean) / source.sigma)
-        fp = source.n_count * _normal_cdf((source.neg_mean - taus) / source.sigma)
+        fn, fp = source._misses(taus)
         tp = source.p_count - fn
         tn = source.n_count - fp
     else:
@@ -206,8 +209,10 @@ def threshold_oracle(source, beta: float = 1.0, steps: int = 2000, metric: str =
             raise DimensionError(
                 f"threshold sweep needs 1-D data, got {source.dim}-D"
             )
-        x = source.points[:, 0]
-        taus = np.linspace(x.min(), x.max(), steps)
+        x = np.unique(source.points[:, 0])
+        # a gap's middle, or x[i] where the middle rounds down onto x[i-1]
+        mid = 0.5 * x[:-1] + 0.5 * x[1:]
+        taus = np.concatenate(([-np.inf], np.where(mid > x[:-1], mid, x[1:]), [np.inf]))
         pos = np.sort(source.positives()[:, 0])
         neg = np.sort(source.negatives()[:, 0])
         tp = len(pos) - np.searchsorted(pos, taus, side="left")
@@ -252,7 +257,6 @@ class ExperimentSpec:
     ofc: TrainConfig = field(default_factory=TrainConfig)
     ofc_measure: str = "f_measure"
     ofc_bandwidth: float = None  # type: ignore[assignment]
-    oracle_steps: int = 2000
     workers: int = 1
 
     def __post_init__(self):
@@ -274,6 +278,8 @@ class ExperimentSpec:
             check_positive("beta", b)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if "oracle" in self.classifiers and self.data.dim != 1:
+            raise ValueError(f"the oracle thresholds 1-D data, got {self.data.dim}-D")
         check_measure(self.ofc_measure, self.ofc.descent)
 
 
@@ -436,7 +442,7 @@ def _run_cell(spec: ExperimentSpec, clf, beta, train_data, test_data, shared):
         predicted = shared
     else:  # oracle, at the threshold that maximizes the experiment's measure
         metric = "accuracy" if spec.ofc_measure == "accuracy" else "f_beta"
-        tau, _ = threshold_oracle(train_data, beta=beta, steps=spec.oracle_steps, metric=metric)
+        tau, _ = threshold_oracle(train_data, beta=beta, metric=metric)
         predicted = test_data.points[:, 0] >= tau
     return confusion_from_predictions(test_data.labels, predicted)
 

@@ -530,6 +530,31 @@ def test_load_rejects_truncated_file(toy_fit, tmp_path):
             load(clipped)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("\nkind=f_measure\n", "\nkind=f_measure\nkind=f_measure\n", "repeats 'kind'"),
+    ("\nbeta=1.0\n", "\nbeta=3.0\n", "config.beta=1.0"),
+    ("\ndegenerate=0\n", "\ndegenerate=1\n", "degenerate=1 disagrees"),
+])
+def test_load_rejects_facts_that_disagree(tmp_path, old, new, message):
+    text = (GOLDEN / "v1_default.ofc").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "edited.ofc"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ModelFormatError, match=message):
+        load(path)
+
+
+def test_load_rejects_a_one_sign_field_not_marked_degenerate(tmp_path):
+    from ofc.cli import main
+
+    grid = GridSpec(((0.0, 1.0),), 4)
+    path = tmp_path / "one_sign.ofc"
+    save(manual_model(ScalarField(grid, -np.ones(5))), path)
+    with pytest.raises(ModelFormatError, match="degenerate=0 disagrees"):
+        load(path)
+    assert main(["frontier", "--model", str(path), "--out", str(tmp_path / "f.csv")]) == 2
+
+
 def test_load_rejects_newer_version(tmp_path):
     path = tmp_path / "future.ofc"
     path.write_text("ofc-model 2\nkind=f_measure\n")

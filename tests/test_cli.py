@@ -410,6 +410,14 @@ def test_eval_non_finite_beta_is_usage_error(tmp_path, separable_csv, capsys):
     assert not out.exists()
 
 
+def test_eval_oracle_on_multi_feature_data_is_usage_error(tmp_path, capsys):
+    cfg = eval_config(tmp_path / "exp.cfg", "db4")
+    out = tmp_path / "s.csv"
+    assert run("eval", "--config", cfg, "--out", out) == 1
+    assert "got 2-D" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("keys", [
     {"classifiers": "ofc", "measure": "gini"},
     {"classifiers": "ofc,nb", "measure": "gini"},

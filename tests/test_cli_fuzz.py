@@ -30,8 +30,7 @@ TOKENS = st.sampled_from(
      "x", ",", "1,,2", "1,nan", "ofc,zz", "G", "accuracy", "derivative"]
 )
 INT_KEYS = ("subsample", "label_column", "data_seed", "repetitions", "folds",
-            "seed", "workers", "oracle_steps", "reinit_every", "max_iter",
-            "resolution")
+            "seed", "workers", "reinit_every", "max_iter", "resolution")
 FLOAT_KEYS = ("dt", "lam", "eps_h", "tol", "bandwidth")
 CONFIG_KEYS = INT_KEYS + FLOAT_KEYS + (
     "positive_value", "classifiers", "betas", "measure", "descent",

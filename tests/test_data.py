@@ -88,9 +88,7 @@ class TestKfold:
     def test_insufficient_class(self):
         data = LabeledDataset(np.arange(10.0)[:, None], np.arange(10) < 3)
         with pytest.raises(InsufficientClassError):
-            kfold(data, 5, stratified=True)
-        # unstratified splitting has no per-class requirement
-        assert len(kfold(data, 5, stratified=False)) == 5
+            kfold(data, 5)
 
 
 class TestCsv:

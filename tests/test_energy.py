@@ -1,5 +1,6 @@
 """Energy functional: value wiring, first variation, descent directions."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,8 +199,8 @@ def test_surrogate_direction_is_scaled_gradient():
     energy = MeasureEnergy(pair, eps=eps, beta=beta)
     g_surrogate = energy.descent_direction(u, kind="G")
     # Same zero set: G equals A**2 times the variation of the energy whose
-    # k is replaced by beta**2.
-    reference = MeasureEnergy(pair, eps=eps, beta=beta, k=beta**2)
+    # k is replaced by beta**2, the k of a pair with equal class counts.
+    reference = MeasureEnergy(replace(pair, n_count=pair.p_count), eps=eps, beta=beta)
     h = 0.5 * (1.0 + (2.0 / np.pi) * np.arctan(u.values / eps))
     a = integrate(u.with_values(h * pair.f_pos.values))
     np.testing.assert_allclose(
@@ -296,7 +297,7 @@ def test_surrogate_step_lowers_its_own_energy():
     pair = toy_pair(512)
     u = threshold_field(pair, 2.9)
     energy = MeasureEnergy(pair, eps=0.05, beta=1.0)
-    surrogate = MeasureEnergy(pair, eps=0.05, beta=1.0, k=1.0)
+    surrogate = MeasureEnergy(replace(pair, n_count=pair.p_count), eps=0.05, beta=1.0)
     d = energy.descent_direction(u, kind="G")
     stepped = u.with_values(u.values - (0.01 / np.abs(d.values).max()) * d.values)
     assert surrogate.evaluate(stepped) < surrogate.evaluate(u)
@@ -373,16 +374,13 @@ def test_constructor_validation():
     for bad in (float("nan"), float("inf"), 1e200):
         with pytest.raises(ValueError, match="eps must be positive and finite"):
             MeasureEnergy(pair, eps=bad)
-        with pytest.raises(ValueError, match="k must be positive and finite"):
-            MeasureEnergy(pair, eps=0.05, k=bad)
+    # beta**2 is finite, but beta**2 * p_count overflows
+    with pytest.raises(ValueError, match="k must be positive and finite"):
+        MeasureEnergy(pair, eps=0.05, beta=1e154)
     with pytest.raises(ValueError):
         MeasureEnergy(pair, eps=0.05, beta=0.0)
     with pytest.raises(ValueError, match="finite"):
         MeasureEnergy(pair, eps=0.05, beta=float("nan"))
-    with pytest.raises(ValueError):
-        MeasureEnergy(pair, eps=0.05, kind="accuracy", k=1.0)
-    with pytest.raises(ValueError):
-        MeasureEnergy(pair, eps=0.05, k=-2.0)
     with pytest.raises(ValueError):
         MeasureEnergy(pair, eps=0.05).descent_direction(
             threshold_field(pair, 3.0), kind="mystery"

@@ -8,7 +8,6 @@ from ofc import field as field_module
 from ofc.errors import (
     GridMismatchError,
     InvalidShapeError,
-    OutOfDomainError,
     ParseError,
 )
 from ofc.field import (
@@ -60,7 +59,7 @@ class TestGridSpec:
 
     def test_from_points_margin(self):
         pts = np.array([[0.0, 0.0], [1.0, 2.0]])
-        g = GridSpec.from_points(pts, 8, margin=0.1)
+        g = GridSpec.from_points(pts, 8)
         assert g.bounds[0] == pytest.approx((-0.1, 1.1))
         assert g.bounds[1] == pytest.approx((-0.2, 2.2))
 
@@ -186,12 +185,6 @@ class TestInterpolate:
         f = ScalarField(g, g.axes()[0] ** 2)
         assert interpolate(f, (2.0,)) == pytest.approx(1.0)
         assert interpolate(f, (-3.0,)) == pytest.approx(0.0)
-
-    def test_out_of_domain_raises(self):
-        g = GridSpec(((0.0, 1.0),), (4,))
-        f = ScalarField(g, np.zeros(5))
-        with pytest.raises(OutOfDomainError):
-            interpolate(f, (1.5,), clamp=False)
 
     def test_batch_shape(self):
         g = GridSpec(((0.0, 1.0),), (4,))

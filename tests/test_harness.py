@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
@@ -25,7 +26,7 @@ from ofc.harness import (
     run_experiment,
     threshold_oracle,
 )
-from ofc.metrics import confusion_from_predictions
+from ofc.metrics import confusion_from_predictions, metrics_from_counts
 from ofc.solver import TrainConfig
 
 
@@ -120,10 +121,8 @@ def test_naive_bayes_zero_variance_guard():
     pts = np.array([[1.0, 0.5], [1.0, 0.7], [2.0, 0.1], [2.1, 0.2]])
     labels = np.array([True, True, False, False])
     data = LabeledDataset(pts, labels)
-    # first feature of the positive class is constant
-    with pytest.raises(DegenerateDataError):
-        naive_bayes_fit(data, var_floor=0.0)
-    model = naive_bayes_fit(data)  # default floor keeps it finite
+    # first feature of the positive class is constant; the floor keeps it finite
+    model = naive_bayes_fit(data)
     assert np.isfinite(naive_bayes_decision(model, pts)).all()
 
 
@@ -150,10 +149,46 @@ def test_oracle_tie_breaks_to_smallest_tau():
     pos = np.linspace(2.0, 3.0, 6)[:, None]
     neg = np.linspace(0.0, 1.0, 10)[:, None]
     data = LabeledDataset(np.vstack([pos, neg]), np.arange(16) < 6)
-    tau, report = threshold_oracle(data, steps=301)
+    tau, report = threshold_oracle(data)
     assert report.f_beta == 1.0
-    taus = np.linspace(0.0, 3.0, 301)
-    assert tau == taus[taus > 1.0][0]  # first sweep point past the negatives
+    # every tau in (1, 2] separates the classes; the oracle takes the gap's middle
+    assert tau == 1.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(
+            st.one_of(
+                st.integers(-3, 3).map(float),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    beta=st.sampled_from((0.5, 1.0, 2.0)),
+)
+def test_oracle_is_the_exact_empirical_optimum(points, beta):
+    x = np.array([p for p, _ in points])
+    labels = np.array([lab for _, lab in points])
+    data = LabeledDataset(x[:, None], labels)
+    # every labeling a threshold can make: x >= t for each value, and none
+    cuts = [*np.unique(x), np.inf]
+    brute = [
+        metrics_from_counts(confusion_from_predictions(labels, x >= t), beta=beta)
+        for t in cuts
+    ]
+    for metric, best in (
+        ("f_beta", max(r.f_beta for r in brute)),
+        ("accuracy", max(r.accuracy for r in brute)),
+    ):
+        tau, report = threshold_oracle(data, beta=beta, metric=metric)
+        assert getattr(report, metric) == pytest.approx(best, rel=1e-12, abs=1e-15)
+        # the returned tau attains the reported optimum
+        attained = metrics_from_counts(confusion_from_predictions(labels, x >= tau), beta)
+        assert attained == report
 
 
 def test_oracle_large_beta_floods_toward_recall():
@@ -166,10 +201,9 @@ def test_oracle_large_beta_floods_toward_recall():
 
 def test_oracle_accuracy_metric_agrees_with_naive_bayes():
     data = gen_toy1d(seed=0)
-    steps = 200
-    tau_acc, _ = threshold_oracle(data, steps=steps, metric="accuracy")
+    tau_acc, _ = threshold_oracle(data, metric="accuracy")
     model = naive_bayes_fit(data)
-    two_steps = 2 * (data.points.max() - data.points.min()) / (steps - 1)
+    two_steps = 2 * (data.points.max() - data.points.min()) / 199  # of a 200-tau grid
     assert abs(tau_acc - nb_threshold(model, 3.0, 5.0)) <= two_steps
 
 
@@ -254,9 +288,9 @@ def test_experiment_smoke_two_rows_no_failures():
     rows = result.summary()
     assert [r.classifier for r in rows] == ["nb", "oracle"]
     assert all(r.folds_used == 2 for r in rows)
-    # naive Bayes separates the wide gap perfectly; the sweep picks the
-    # smallest optimal threshold, which sits flush against the largest
-    # training negative, so a test negative may spill just past it
+    # naive Bayes separates the wide gap perfectly; the oracle's threshold
+    # sits in the middle of the training data's gap, so a test point may
+    # still fall on its wrong side
     by_name = {r.classifier: r for r in rows}
     assert by_name["nb"].f_beta_mean == pytest.approx(1.0)
     assert by_name["oracle"].f_beta_mean > 0.9
@@ -267,12 +301,12 @@ def test_oracle_cells_maximize_the_experiment_measure():
     # at a 1:50 imbalance the accuracy optimum lies well right of F1's
     data = gen_toy1d(seed=0).subset(np.arange(0, 51000, 10))
     spec = ExperimentSpec(data=data, classifiers=("oracle",), repetitions=1, folds=2,
-                          seed=3, ofc_measure="accuracy", oracle_steps=200)
+                          seed=3, ofc_measure="accuracy")
     cell = run_experiment(spec).outcomes[0]
     train_idx, test_idx = kfold(data, 2, seed=3)[0]
     train, test = data.subset(train_idx), data.subset(test_idx)
-    tau, _ = threshold_oracle(train, steps=200, metric="accuracy")
-    assert tau != threshold_oracle(train, steps=200)[0]
+    tau, _ = threshold_oracle(train, metric="accuracy")
+    assert tau != threshold_oracle(train)[0]
     assert (cell.repetition, cell.fold) == (0, 0)
     assert cell.counts == confusion_from_predictions(test.labels, test.points[:, 0] >= tau)
 
@@ -339,17 +373,24 @@ def test_experiment_is_deterministic_across_runs_and_workers():
 
 def test_experiment_records_failures_without_aborting():
     rng = np.random.default_rng(0)
-    pts = rng.normal(0.0, 1.0, (40, 2))
-    pts[:20] += 3.0
-    data = LabeledDataset(pts, np.arange(40) < 20)
-    # the threshold sweep cannot run on 2-D data; naive Bayes can
+    pts = np.vstack([rng.normal(3.0, 1.0, (2, 1)), rng.normal(0.0, 1.0, (38, 1))])
+    data = LabeledDataset(pts, np.arange(40) < 2)
+    # each training fold holds one positive: too few for naive Bayes, but
+    # the threshold oracle still runs
     spec = ExperimentSpec(
         data=data, classifiers=("nb", "oracle"), repetitions=1, folds=2, seed=0
     )
     result = run_experiment(spec)
     assert len(result.failures) == 2  # one per fold
-    assert all("DimensionError" in f.message for f in result.failures)
-    assert [r.classifier for r in result.summary()] == ["nb"]
+    assert all("DegenerateDataError" in f.message for f in result.failures)
+    assert [r.classifier for r in result.summary()] == ["oracle"]
+
+
+def test_experiment_spec_refuses_the_oracle_on_multi_feature_data():
+    data = LabeledDataset(np.arange(12.0).reshape(6, 2), np.arange(6) < 3)
+    with pytest.raises(ValueError, match="2-D"):
+        ExperimentSpec(data=data, classifiers=("nb", "oracle"))
+    assert ExperimentSpec(data=data, classifiers=("nb",)).classifiers == ("nb",)
 
 
 def test_experiment_beta_sweep_csv():
