@@ -2,9 +2,10 @@
 
 Database 4 surrounds a dense Gaussian blob of negatives with a sparse ring
 of positives (1:10 imbalance).  The level-set classifier has no parametric
-form to fight: its frontier wraps the ring region in closed curves (often
-fragmented where the sparse ring thins out).  This demo fits the model,
-exports the frontier polylines and the
+form to fight: its frontier is a closed curve around the blob, near the
+ring's middle radius.  Everything outside it is positive, the empty outer
+region included, because there the ring's density tail outweighs the
+blob's.  This demo fits the model, exports the frontier polylines and the
 decision-field heatmap, and prints the confusion metrics next to a
 Gaussian Naive Bayes baseline, which collapses on this geometry.
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .density import DensityPair, estimate_pair
+from .energy import check_measure
 from .errors import (
     DegenerateModelError,
     ModelFormatError,
@@ -35,6 +36,7 @@ from .field import (
     field_to_text,
     interpolate,
 )
+from .metrics import check_positive
 from .solver import (
     TrainConfig, config_from_text, config_to_text, default_resolution, has_sign_change, train
 )
@@ -315,14 +317,23 @@ def load(path) -> TrainedClassifier:
     try:
         u = field_from_text("\n".join(lines[field_start:]) + "\n")
         config = {k.removeprefix("config."): v for k, v in kv.items() if k.startswith("config.")}
+        # a known measure, a k that training could have set for it, a 0/1 flag
+        check_measure(kv["kind"])
+        k = None if kv["k"] == "none" else float(kv["k"])
+        if (k is None) != (kv["kind"] == "accuracy"):
+            raise ValueError(f"k={kv['k']} does not fit kind={kv['kind']}")
+        if k is not None:
+            check_positive("k", k)
+        if kv["degenerate"] not in ("0", "1"):
+            raise ValueError(f"degenerate={kv['degenerate']} is neither 0 nor 1")
         m = TrainedClassifier(
             u=u,
             kind=kv["kind"],
             beta=float(kv["beta"]),
-            k=None if kv["k"] == "none" else float(kv["k"]),
+            k=k,
             config=config_from_text(config),
             densities_hash=kv["densities_hash"],
-            degenerate=bool(int(kv["degenerate"])),
+            degenerate=kv["degenerate"] == "1",
         )
     except VersionMismatchError:
         raise

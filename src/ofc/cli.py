@@ -209,7 +209,8 @@ def _cmd_train(args) -> int:
         f"dt halvings {trace.dt_halvings}, stationarity residual "
         f"{trace.stationarity_residual:.3g}, energy ascent "
         f"{'yes' if trace.energy_ascent else 'no'}; returned the field of iteration "
-        f"{trace.best_iteration}, sign-pattern energy {trace.sign_pattern_energy:.6g}",
+        f"{trace.best_iteration}, sign-pattern energy {trace.sign_pattern_energy:.6g}, "
+        f"optimality gap {trace.optimality_gap:.3g}",
         file=sys.stderr,
     )
     seconds = ", ".join(f"{phase} {s:.3g}" for phase, s in trace.phase_seconds.items())

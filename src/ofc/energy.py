@@ -27,7 +27,9 @@ variation with k replaced by beta**2, which has the same zero set.
 
 Taking A, B and C over {u >= 0} instead of through H gives the
 sign-pattern energy: the measure that the classifier sign(u) attains on
-the densities.  Training stops on it and keeps the field that scores best.
+the densities.  One sort finds its exact minimizer on the grid, where
+training starts by default; training also stops on it and keeps the field
+that scores best.
 
 The training loop evaluates these on every iteration, so each is written
 as few whole-grid passes.  With H = 1/2 + arctan(u/eps)/pi, the three
@@ -188,7 +190,11 @@ class MeasureEnergy:
         the energy's own measure and "G" F-beta at k = beta**2.  A field
         holding none of the positive mass scores inf under F-beta.
         """
-        a, c = (self._weighted @ (u.values >= 0).ravel()).tolist()
+        return self._mask_energy(u.values >= 0, descent)
+
+    def _mask_energy(self, mask: np.ndarray, descent: str) -> float:
+        """:meth:`sign_pattern_energy` of the classifier positive on ``mask``."""
+        a, c = (self._weighted @ mask.ravel()).tolist()
         b = 2.0 * self._half_mass[0] - a
         try:
             if descent == "G":
@@ -196,6 +202,32 @@ class MeasureEnergy:
             return _MEASURES[self.kind](self, a, b, c)[0]
         except VanishingPositiveMassError:
             return math.inf
+
+    def _optimum_mask(self, descent: str = "derivative") -> np.ndarray:
+        """The grid-shaped node mask whose classifier scores the lowest
+        :meth:`sign_pattern_energy` for ``descent``.
+
+        Accuracy takes the nodes where n_count * f- < p_count * f+.  F-beta
+        scores a node set S as (k * (W+ - A(S)) + C(S)) / A(S), a ratio of
+        sums, so by Dinkelbach (1967) its best S is {c_i < t * a_i} for some
+        t: a prefix of the nodes sorted by c_i / a_i, whose scores come from
+        two cumulative sums.
+        """
+        a, c = self._weighted
+        if self.kind == "accuracy":
+            return (self.pair.n_count * c < self.pair.p_count * a).reshape(self.pair.grid.shape)
+        k = self.k if descent == "derivative" else self.beta**2
+        # a node without positive mass has ratio inf or nan and sorts last; a
+        # ratio that overflows on a denormal a_i is inf and sorts with them
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            order = np.argsort(c / a, kind="stable")
+        pos, neg = np.cumsum(a[order]), np.cumsum(c[order])
+        score = np.full(pos.shape, np.inf)
+        np.divide(k * (2.0 * self._half_mass[0] - pos) + neg, pos, out=score,
+                  where=pos >= _MASS_FLOOR)
+        mask = np.zeros(a.size, dtype=bool)
+        mask[order[:int(np.argmin(score)) + 1]] = True
+        return mask.reshape(self.pair.grid.shape)
 
     def stationarity_residual(self, u: ScalarField, fractions: tuple = None) -> float:
         """Largest gradient magnitude on the active band around the zero set.

@@ -1,6 +1,11 @@
 """Training loop for the level-set classifier.
 
-The decision field evolves by explicit descent steps
+Unless the config names an initial shape, the decision field starts at
+the exact minimizer of the sign-pattern energy on the grid
+(:meth:`~ofc.energy.MeasureEnergy._optimum_mask`): +1 on the optimal node
+set and -1 off it, redistanced.  That puts the front where the densities
+want it with one sort, so the flow below only has to refine it.  It then
+evolves by explicit descent steps
 
     u <- u - dt * (descent_direction - lambda * laplacian(u))
 
@@ -16,7 +21,8 @@ The score is the sign-pattern energy
 (:meth:`~ofc.energy.MeasureEnergy.sign_pattern_energy`), the measure that
 the classifier sign(u) attains, so redistancing does not change it.  The
 run returns its final field, redistanced, or the checkpoint before it,
-whichever scores lower.  ``_start`` builds and times u and dt for the
+whichever scores lower, and its trace reports how far that field scores
+above the grid's optimum.  ``_start`` builds and times u and dt for the
 first start and for the one restart; ``_settle`` redistances, evaluates and
 times a field in every iteration and at the closing checkpoint.
 
@@ -109,7 +115,9 @@ class TrainConfig:
     from the grid (lam = 0.1 * max spacing squared, eps_h = 1.5 * max
     spacing) and the initial descent (dt = 0.5 * min spacing / max
     |descent|).  resolution=None picks the per-dimension default; a set one
-    must match the grid.  init=None starts from the default sphere lattice.
+    must match the grid.  init=None starts from the exact minimizer of the
+    sign-pattern energy, redistanced, or from the default sphere lattice
+    when that minimizer takes every node or none.
 
     A run stops at max_iter, after 5 consecutive updates below tol, or at
     the first redistancing whose field scores above the one before it on
@@ -210,7 +218,8 @@ class EvolutionTrace:
     The diagnostics describe the returned field and the whole run: its
     energy, its largest gradient on the band around its zero set, how
     often the step guard halved dt, the iteration and sign-pattern energy
-    of the returned field, and whether the run's last field scored above
+    of the returned field, how far that energy lies above its exact
+    minimum on the grid, and whether the run's last field scored above
     it.  ``phase_seconds`` holds wall times per phase; being timings, they
     stay out of :meth:`to_csv` and out of comparisons.
     """
@@ -225,6 +234,7 @@ class EvolutionTrace:
     energy_ascent: bool  # the last field's sign-pattern energy is above the returned one's
     best_iteration: int  # the iteration that produced the returned field
     sign_pattern_energy: float  # MeasureEnergy.sign_pattern_energy of the result
+    optimality_gap: float  # sign_pattern_energy minus its exact minimum on the grid
     header: dict
     # phase -> seconds: "start", "step", "evaluate" and "reinit" from train,
     # "kde" from fit
@@ -432,12 +442,19 @@ def reinitialize(u: ScalarField) -> ScalarField:
     return u.with_values(dist)
 
 
-def _start(e: MeasureEnergy, cfg: TrainConfig, restarted: bool, seconds):
-    """u and dt from ``cfg.init``, or from the default lattice on the restart;
-    the time taken, failed or not, is added to ``seconds``."""
+def _start(e: MeasureEnergy, cfg: TrainConfig, restarted: bool, optimum, seconds):
+    """u and dt from ``cfg.init``, or from the default lattice on the restart.
+    With init None, u is +1 on the ``optimum`` mask and -1 off it,
+    redistanced, or the default lattice when that has no sign change.  The
+    time taken, failed or not, is added to ``seconds``."""
     t0 = time.perf_counter()
     try:
-        u = init_shape(e.pair.grid, SphereLattice() if restarted else cfg.init)
+        if restarted or cfg.init is not None:
+            u = init_shape(e.pair.grid, SphereLattice() if restarted else cfg.init)
+        else:
+            u = reinitialize(ScalarField(e.pair.grid, np.where(optimum, 1.0, -1.0)))
+            if not has_sign_change(u):
+                u = init_shape(e.pair.grid, SphereLattice())
         return u, cfg.dt if cfg.dt is not None else auto_time_step(u, e, cfg)
     finally:
         seconds["start"] += time.perf_counter() - t0
@@ -465,8 +482,9 @@ def train(pair: DensityPair, cfg: TrainConfig = None, measure: str = "f_measure"
     reported in the trace status, never raised.  The classifier holds the
     final field or the checkpoint before it, whichever scores lower on the
     sign-pattern energy of the objective ``cfg.descent`` minimizes (the
-    final field wins a tie).  If the positive region loses all its density
-    mass, at the start or in an iteration, the run restarts once from the
+    final field wins a tie).  With ``cfg.init`` None the run starts at that
+    energy's exact minimizer (see :func:`_start`).  If the positive region
+    loses all its density mass, at the start or in an iteration, the run restarts once from the
     default sphere lattice, keeping its records and forgetting its
     checkpoints; a second loss, or one at the closing checkpoint, is raised.
     The model and trace header record the resolved config with the first
@@ -485,11 +503,14 @@ def train(pair: DensityPair, cfg: TrainConfig = None, measure: str = "f_measure"
     u = None  # no field before the start, nor after the positive mass vanished
     dt_halvings = 0
     seconds = {"start": 0.0, "step": 0.0, "evaluate": 0.0, "reinit": 0.0}
+    t0 = time.perf_counter()
+    optimum = e._optimum_mask(cfg.descent)
+    seconds["start"] += time.perf_counter() - t0
     while len(records) < cfg.max_iter:
         it = len(records) + 1
         try:
             if u is None:
-                u, dt = _start(e, cfg, restarted, seconds)
+                u, dt = _start(e, cfg, restarted, optimum, seconds)
                 if snapshot is None:
                     snapshot = replace(cfg, dt=dt)
                 fractions = None  # (A, B, C) of u once its evaluate has run
@@ -537,6 +558,7 @@ def train(pair: DensityPair, cfg: TrainConfig = None, measure: str = "f_measure"
         energy_ascent=kept is not last,
         best_iteration=kept.iteration,
         sign_pattern_energy=kept.score,
+        optimality_gap=kept.score - e._mask_energy(optimum, cfg.descent),
         header={"measure": e.kind, "k": k, **config_to_text(snapshot)},
         phase_seconds=seconds,
     )

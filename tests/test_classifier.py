@@ -544,6 +544,27 @@ def test_load_rejects_facts_that_disagree(tmp_path, old, new, message):
         load(path)
 
 
+@pytest.mark.parametrize("name, old, new, message", [
+    ("default", "\nkind=f_measure\n", "\nkind=gini\n", "unknown energy kind 'gini'"),
+    ("default", "\ndegenerate=0\n", "\ndegenerate=2\n", "degenerate=2 is neither 0 nor 1"),
+    ("accuracy", "\nk=none\n", "\nk=0.5\n", "k=0.5 does not fit kind=accuracy"),
+    ("default", "\nk=0.028225806451612902\n", "\nk=none\n", "k=none does not fit"),
+    ("default", "\nk=0.028225806451612902\n", "\nk=-0.5\n", "k must be positive"),
+    ("default", "\nk=0.028225806451612902\n", "\nk=inf\n", "k must be positive"),
+    ("default", "\nk=0.028225806451612902\n", "\nk=nan\n", "k must be positive"),
+])
+def test_load_rejects_facts_it_cannot_use(tmp_path, name, old, new, message):
+    from ofc.cli import main
+
+    text = (GOLDEN / f"v1_{name}.ofc").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "edited.ofc"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ModelFormatError, match=message):
+        load(path)
+    assert main(["frontier", "--model", str(path), "--out", str(tmp_path / "f.csv")]) == 2
+
+
 def test_load_rejects_a_one_sign_field_not_marked_degenerate(tmp_path):
     from ofc.cli import main
 

@@ -231,9 +231,9 @@ def test_train_prints_the_returned_field_and_phase_times(tmp_path, separable_csv
     err = capsys.readouterr().err
     header = dict(line[2:].split("=", 1) for line in trace.read_text().splitlines()
                   if line.startswith("# "))
-    score = float(header["sign_pattern_energy"])
+    score, gap = float(header["sign_pattern_energy"]), float(header["optimality_gap"])
     assert (f"returned the field of iteration {header['best_iteration']}, "
-            f"sign-pattern energy {score:.6g}") in err
+            f"sign-pattern energy {score:.6g}, optimality gap {gap:.3g}") in err
     times = err.split("seconds: ", 1)[1].splitlines()[0]
     assert [part.split()[0] for part in times.split(", ")] == [
         "kde", "start", "step", "evaluate", "reinit"

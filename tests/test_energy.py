@@ -1,9 +1,11 @@
 """Energy functional: value wiring, first variation, descent directions."""
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
 from ofc.density import DensityPair
@@ -363,6 +365,80 @@ def test_sign_pattern_energy_of_an_all_negative_field():
     assert MeasureEnergy(pair, eps=0.05).sign_pattern_energy(sunk, "G") == math.inf
     acc = MeasureEnergy(pair, eps=0.05, kind="accuracy")
     assert acc.sign_pattern_energy(sunk) == pytest.approx(P_COUNT * integrate(pair.f_pos), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the exact minimizer of the sign-pattern energy
+
+# (measure, descent) pairs that training accepts
+OBJECTIVES = [("f_measure", "derivative"), ("f_measure", "G"), ("accuracy", "derivative")]
+
+
+def random_pair(shape, seed):
+    """Random densities on a grid of ``shape`` nodes, with a node of no
+    positive mass, a node of no mass, a denormal positive value whose ratio
+    overflows, and two nodes of equal ratio among them."""
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(bounds=((0.0, 1.0),) * len(shape), resolution=tuple(n - 1 for n in shape))
+    fp, fn = rng.random((2,) + shape)
+    fp.flat[0] = 0.0
+    fp.flat[1] = fn.flat[1] = 0.0
+    fp.flat[2], fn.flat[2] = 1e-310, 1.0
+    fn.flat[3:5] = 2.0 * fp.flat[3:5]
+    return DensityPair(
+        f_pos=ScalarField(grid, fp),
+        f_neg=ScalarField(grid, fn),
+        p_count=int(rng.integers(1, 100)),
+        n_count=int(rng.integers(1, 1000)),
+    )
+
+
+def brute_force_minimum(pair, kind, beta, descent):
+    """Lowest sign-pattern energy over every subset of the grid's nodes."""
+    w = functools.reduce(np.multiply.outer, [
+        h * np.r_[0.5, np.ones(n - 2), 0.5] for h, n in zip(pair.grid.spacing, pair.grid.shape)
+    ])
+    fp, fn = (pair.f_pos.values * w).ravel(), (pair.f_neg.values * w).ravel()
+    subsets = (np.arange(2**fp.size)[:, None] >> np.arange(fp.size)) & 1
+    a, c = subsets @ fp, subsets @ fn
+    b = fp.sum() - a
+    if kind == "accuracy":
+        return (pair.p_count * b + pair.n_count * c).min()
+    k = beta**2 * pair.p_count / pair.n_count if descent == "derivative" else beta**2
+    with np.errstate(all="ignore"):
+        return np.where(a < 1e-12, np.inf, (k * b + c) / a).min()
+
+
+def mask_field(grid, mask):
+    return ScalarField(grid, np.where(mask, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("kind, descent", OBJECTIVES)
+@pytest.mark.parametrize("shape", [(12,), (4, 3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_optimum_mask_scores_the_brute_force_minimum(kind, descent, shape, seed):
+    pair = random_pair(shape, seed)
+    for beta in (0.5, 1.0, 2.0):
+        energy = MeasureEnergy(pair, eps=0.05, kind=kind, beta=beta)
+        mask = energy._optimum_mask(descent)
+        assert mask.shape == pair.grid.shape
+        score = energy.sign_pattern_energy(mask_field(pair.grid, mask), descent)
+        assert score == pytest.approx(brute_force_minimum(pair, kind, beta, descent), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_no_mask_scores_below_the_optimum(data):
+    shape = data.draw(st.sampled_from([(40,), (7, 6), (4, 3, 3)]))
+    pair = random_pair(shape, data.draw(st.integers(0, 2**32 - 1)))
+    kind, descent = data.draw(st.sampled_from(OBJECTIVES))
+    energy = MeasureEnergy(pair, eps=0.05, kind=kind, beta=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+    optimum = energy._optimum_mask(descent)
+    best = energy.sign_pattern_energy(mask_field(pair.grid, optimum), descent)
+    size = optimum.size
+    flips = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    mask = optimum ^ flips.reshape(shape)
+    assert energy.sign_pattern_energy(mask_field(pair.grid, mask), descent) >= best - 1e-12 * abs(best)
 
 
 def test_constructor_validation():

@@ -884,7 +884,7 @@ def test_trace_diagnostics_describe_the_returned_field(toy):
 
 
 def test_energy_ascent_flags_a_rebound(monkeypatch):
-    # db2's classifier is best at iteration 200 and scores worse at 250
+    # db2's classifier is best at iteration 50 and scores worse at 100
     from ofc.classifier import fit
     from ofc.data import gen_db
 
@@ -903,7 +903,8 @@ def test_energy_ascent_unset_while_the_energy_falls():
     from ofc.classifier import fit
     from ofc.data import gen_db
 
-    _, trace = fit(gen_db(3, seed=0), TrainConfig(resolution=64, max_iter=100))
+    cfg = TrainConfig(resolution=64, max_iter=100, init=SphereLattice())
+    _, trace = fit(gen_db(3, seed=0), cfg)
     energies = [r.energy for r in trace.records]
     assert all(b <= a for a, b in zip(energies, energies[1:]))
     assert trace.final_energy == energies[-1]
@@ -930,7 +931,7 @@ def _spy_scores(monkeypatch) -> list:
 
 @pytest.mark.parametrize("db", [2, 4])
 def test_returned_field_scores_lowest_of_every_checkpoint(db, monkeypatch):
-    # db2 stops on a rising score and db4 runs to max_iter
+    # both stop on a rising score at iteration 100
     from ofc.classifier import densities_for, fit
     from ofc.data import gen_db
 
@@ -951,7 +952,8 @@ def test_falling_scores_return_the_last_field(monkeypatch):
     from ofc.data import gen_db
 
     scores = _spy_scores(monkeypatch)
-    _, trace = fit(gen_db(3, seed=0), TrainConfig(resolution=64, max_iter=100))
+    cfg = TrainConfig(resolution=64, max_iter=100, init=SphereLattice())
+    _, trace = fit(gen_db(3, seed=0), cfg)
     assert scores == sorted(scores, reverse=True)
     assert trace.status == "max-iter"
     assert trace.best_iteration == 100
@@ -1014,6 +1016,40 @@ def test_restart_mid_run_numbers_and_times_every_iteration(toy, monkeypatch):
     assert model.config.dt == auto_time_step(init_shape(pair.grid, RIGHT_BOX), energy, cfg)
     lattice = init_shape(pair.grid, SphereLattice())
     assert trace.final_dt == auto_time_step(lattice, energy, cfg)
+
+
+def test_default_start_is_the_redistanced_optimum(toy):
+    pair, eps = toy
+    model, trace = train(pair, TrainConfig(max_iter=1))
+    energy = MeasureEnergy(pair, eps=eps)
+    mask = ScalarField(pair.grid, np.where(energy._optimum_mask(), 1.0, -1.0))
+    assert has_sign_change(mask)
+    assert not trace.restarted
+    assert model.config.dt == auto_time_step(reinitialize(mask), energy, model.config)
+
+
+def test_a_start_without_a_sign_change_falls_back_to_the_lattice():
+    # equal densities and counts: every node set scores W+/A, so the
+    # optimum takes the whole grid
+    pair = balanced_pair()
+    energy = MeasureEnergy(pair, eps=1.5 * max(pair.grid.spacing))
+    assert energy._optimum_mask().all()
+    model, trace = train(pair, TrainConfig(max_iter=1))
+    lattice = init_shape(pair.grid, SphereLattice())
+    assert not trace.restarted
+    assert model.config.dt == auto_time_step(lattice, energy, model.config)
+
+
+@pytest.mark.parametrize("init", [None, SphereLattice()])
+@pytest.mark.parametrize("db", [1, 2, 3, 4])
+def test_optimality_gap_is_not_negative(db, init):
+    from ofc.classifier import fit
+    from ofc.data import gen_db
+
+    _, trace = fit(gen_db(db, seed=0), TrainConfig(resolution=32, max_iter=200, init=init))
+    optimum = trace.sign_pattern_energy - trace.optimality_gap
+    assert trace.optimality_gap >= -1e-12 * abs(optimum)
+    assert f"# optimality_gap={trace.optimality_gap!r}\n" in trace.to_csv()
 
 
 def test_restart_at_the_start_records_the_lattice_dt():
