@@ -17,10 +17,12 @@ from ofc import (
     GridSpec,
     MeasureEnergy,
     ScalarField,
+    TrainConfig,
     estimate_pair,
     gen_toy1d,
     integrate,
 )
+from ofc.solver import _resolved
 
 
 def main():
@@ -32,7 +34,7 @@ def main():
           f"{integrate(pair.f_pos):.6f}, {integrate(pair.f_neg):.6f}")
 
     x = grid.axes()[0]
-    eps = 1.5 * max(grid.spacing)
+    eps = _resolved(TrainConfig(), grid).eps_h  # the width training uses
     taus = np.linspace(2.0, 5.0, 301)
 
     def energy_curve(kind):

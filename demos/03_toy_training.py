@@ -25,6 +25,7 @@ from ofc import (
     init_shape,
     train,
 )
+from ofc.solver import _resolved
 
 OUT = Path(__file__).parent / "out"
 P, N = 1000.0, 50000.0
@@ -48,7 +49,7 @@ def run(kind):
     cfg = TrainConfig(init=init, reinit_every=300, max_iter=12000)
     if kind == "f_measure":
         # a tenth of the automatic step, sized on the energy train builds
-        energy = MeasureEnergy(pair, eps=1.5 * max(pair.grid.spacing))
+        energy = MeasureEnergy(pair, eps=_resolved(cfg, pair.grid).eps_h)
         cfg = replace(cfg, dt=auto_time_step(init_shape(pair.grid, init), energy, cfg) / 10)
     model, trace = train(pair, cfg, kind)
     (tau,) = frontier(model)

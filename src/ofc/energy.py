@@ -28,8 +28,9 @@ variation with k replaced by beta**2, which has the same zero set.
 Taking A, B and C over {u >= 0} instead of through H gives the
 sign-pattern energy: the measure that the classifier sign(u) attains on
 the densities.  One sort finds its exact minimizer on the grid, where
-training starts by default; training also stops on it and keeps the field
-that scores best.
+training starts by default.  Training also stops on it: at the first
+redistanced field that scores above the one before it, the start
+included, so a run from the minimizer ends at its first redistancing.
 
 The training loop evaluates these on every iteration, so each is written
 as few whole-grid passes.  With H = 1/2 + arctan(u/eps)/pi, the three

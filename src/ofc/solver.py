@@ -20,7 +20,11 @@ convergence:
 The score is the sign-pattern energy
 (:meth:`~ofc.energy.MeasureEnergy.sign_pattern_energy`), the measure that
 the classifier sign(u) attains, so redistancing does not change it.  The
-run returns its final field, redistanced, or the checkpoint before it,
+start is checkpoint 0: it is scored like every checkpoint but never
+returned.  A run that starts at the optimum cannot score lower later, so
+it ends at its first redistancing, and returns that field, unless that
+field ties with the start.  The run
+returns its final field, redistanced, or the trained checkpoint before it,
 whichever scores lower, and its trace reports how far that field scores
 above the grid's optimum.  ``_start`` builds and times u and dt for the
 first start and for the one restart; ``_settle`` redistances, evaluates and
@@ -121,8 +125,11 @@ class TrainConfig:
 
     A run stops at max_iter, after 5 consecutive updates below tol, or at
     the first redistancing whose field scores above the one before it on
-    the sign-pattern energy.  reinit_every is therefore also the period of
-    that check.
+    the sign-pattern energy, the start counting as the first.  reinit_every
+    is therefore also the period of that check.  A run from the optimum
+    ends at its first redistancing (unless that ties with the start), so
+    for it reinit_every is the length of the flow and max_iter only binds
+    below it.
     """
 
     beta: float = 1.0
@@ -202,7 +209,9 @@ class TraceRecord(NamedTuple):
 
 class _Iterate(NamedTuple):
     """A field of the run, its evaluation, and at a checkpoint, where it was
-    redistanced, its sign-pattern energy as score (None elsewhere)."""
+    redistanced, its sign-pattern energy as score (None elsewhere).  The
+    start, checkpoint 0, has only its iteration and score: u None marks it
+    as never returned."""
 
     iteration: int
     u: ScalarField
@@ -480,13 +489,17 @@ def train(pair: DensityPair, cfg: TrainConfig = None, measure: str = "f_measure"
 
     Returns (TrainedClassifier, EvolutionTrace).  Hitting max_iter is
     reported in the trace status, never raised.  The classifier holds the
-    final field or the checkpoint before it, whichever scores lower on the
+    final field or the trained checkpoint before it, whichever scores lower on the
     sign-pattern energy of the objective ``cfg.descent`` minimizes (the
-    final field wins a tie).  With ``cfg.init`` None the run starts at that
-    energy's exact minimizer (see :func:`_start`).  If the positive region
-    loses all its density mass, at the start or in an iteration, the run restarts once from the
-    default sphere lattice, keeping its records and forgetting its
-    checkpoints; a second loss, or one at the closing checkpoint, is raised.
+    final field wins a tie).  The start is scored as checkpoint 0, which
+    the first redistanced field is compared with, and is never held.  With
+    ``cfg.init`` None the run starts at that energy's exact minimizer (see
+    :func:`_start`), so it ends at its first redistancing unless that ties
+    with the start.  If the positive
+    region loses all its density mass, at the start or in an iteration, the
+    run restarts once from the default sphere lattice, keeping its records
+    and forgetting its checkpoints; the lattice is the new checkpoint 0.  A
+    second loss, or one at the closing checkpoint, is raised.
     The model and trace header record the resolved config with the first
     start's dt.
     """
@@ -515,7 +528,8 @@ def train(pair: DensityPair, cfg: TrainConfig = None, measure: str = "f_measure"
                     snapshot = replace(cfg, dt=dt)
                 fractions = None  # (A, B, C) of u once its evaluate has run
                 consecutive = 0
-                prev = None  # the last checkpoint
+                # the last checkpoint; the start is checkpoint 0, scored but never kept
+                prev = _Iterate(it - 1, None, None, None, e.sign_pattern_energy(u, cfg.descent))
             t0 = time.perf_counter()
             halvings = 0
             while True:
@@ -539,7 +553,7 @@ def train(pair: DensityPair, cfg: TrainConfig = None, measure: str = "f_measure"
         u, fractions = cur.u, cur.fractions
         records.append(TraceRecord(it, cur.energy, max_update, cur.score is not None))
         if cur.score is not None:
-            if prev is not None and cur.score > prev.score:
+            if cur.score > prev.score:
                 status = "converged"
                 break
             prev = cur
@@ -549,7 +563,7 @@ def train(pair: DensityPair, cfg: TrainConfig = None, measure: str = "f_measure"
             break
     # the run ends on a checkpoint: its last iteration's or a closing one
     last = cur if cur.score is not None else _settle(u, e, cfg, it, True, seconds)
-    kept = prev if prev is not None and prev.score < last.score else last
+    kept = prev if prev.u is not None and prev.score < last.score else last
     k = "none" if e.k is None else repr(e.k)
     trace = EvolutionTrace(
         records, status, restarted, dt, kept.energy,

@@ -24,7 +24,7 @@ from ofc.harness import (
     run_experiment,
 )
 from ofc.metrics import ConfusionCounts, confusion_from_predictions, metrics_from_counts
-from ofc.solver import TrainConfig, auto_time_step, reinitialize, train
+from ofc.solver import TrainConfig, _resolved, auto_time_step, reinitialize, train
 
 P_COUNT, N_COUNT = 1000.0, 50000.0
 TOY_BOUNDS = ((-2.0, 6.0),)
@@ -106,7 +106,7 @@ def test_02_toy_accuracy_crossing_brackets_bayes():
 def test_03_toy_f1_crossing_matches_oracle():
     started = time.monotonic()
     pair = toy_pair()
-    eps = 1.5 * max(pair.grid.spacing)
+    eps = _resolved(TrainConfig(), pair.grid).eps_h
     energy = MeasureEnergy(pair, eps=eps)
     base = auto_time_step(init_shape(pair.grid, RIGHT_BOX), energy, TrainConfig())
     cfg = TrainConfig(init=RIGHT_BOX, dt=base / 10, reinit_every=300, max_iter=8000)

@@ -51,7 +51,8 @@ def line_model(tau=3.0):
 @pytest.fixture(scope="module")
 def toy_fit():
     data = gen_toy1d(seed=1).subset(np.arange(0, 51000, 10))  # 5100 points
-    cfg = TrainConfig(resolution=256, max_iter=60, reinit_every=20)
+    # from the lattice, so the run reaches max_iter past two checkpoints
+    cfg = TrainConfig(resolution=256, max_iter=60, reinit_every=20, init=SphereLattice())
     return data, fit(data, cfg)
 
 

@@ -92,7 +92,7 @@ RIGHT_BOX = Box(lo=(3.0,), hi=(6.0,))
 @pytest.fixture(scope="module")
 def toy():
     pair = toy_pair()
-    eps = 1.5 * max(pair.grid.spacing)
+    eps = solver._resolved(TrainConfig(), pair.grid).eps_h
     return pair, eps
 
 
@@ -675,7 +675,7 @@ def test_train_separable_classes_perfectly():
         p_count=500,
         n_count=500,
     )
-    energy = MeasureEnergy(pair, eps=1.5 * max(grid.spacing))
+    energy = MeasureEnergy(pair, eps=solver._resolved(TrainConfig(), grid).eps_h)
     box = Box(lo=(-0.9,), hi=(2.0,))
     base = auto_time_step(init_shape(grid, box), energy, TrainConfig())
     cfg = TrainConfig(init=box, dt=base / 10, reinit_every=300, max_iter=6000)
@@ -884,18 +884,21 @@ def test_trace_diagnostics_describe_the_returned_field(toy):
 
 
 def test_energy_ascent_flags_a_rebound(monkeypatch):
-    # db2's classifier is best at iteration 50 and scores worse at 100
+    # from the lattice, db2's classifier is best at iteration 200 and scores
+    # worse at 250
     from ofc.classifier import fit
     from ofc.data import gen_db
 
     scores = _spy_scores(monkeypatch)
-    _, trace = fit(gen_db(2, seed=0), TrainConfig(resolution=64, max_iter=400))
+    cfg = TrainConfig(resolution=64, max_iter=400, init=SphereLattice())
+    _, trace = fit(gen_db(2, seed=0), cfg)
     assert trace.status == "converged"
     assert len(trace.records) < 400
     assert trace.records[-1].reinit
     assert trace.energy_ascent
     assert scores[-1] > min(scores) == trace.sign_pattern_energy
-    assert trace.best_iteration == 50 * (scores.index(min(scores)) + 1)
+    # scores[0] is the start's, checkpoint 0
+    assert trace.best_iteration == 50 * scores.index(min(scores))
     assert trace.final_energy == trace.records[trace.best_iteration - 1].energy
 
 
@@ -931,20 +934,79 @@ def _spy_scores(monkeypatch) -> list:
 
 @pytest.mark.parametrize("db", [2, 4])
 def test_returned_field_scores_lowest_of_every_checkpoint(db, monkeypatch):
-    # both stop on a rising score at iteration 100
+    # from the lattice, both stop on a rising score at iteration 100
     from ofc.classifier import densities_for, fit
     from ofc.data import gen_db
 
     data = gen_db(db, seed=0)
     scores = _spy_scores(monkeypatch)
-    model, trace = fit(data, TrainConfig(resolution=64, max_iter=400))
-    assert len(scores) >= 2
+    cfg = TrainConfig(resolution=32, max_iter=400, init=SphereLattice())
+    model, trace = fit(data, cfg)
+    assert trace.status == "converged" and len(trace.records) == 100
+    assert len(scores) >= 3
     assert all(trace.sign_pattern_energy <= s for s in scores)
     text = trace.to_csv()
     assert f"# sign_pattern_energy={trace.sign_pattern_energy!r}\n" in text
     assert f"# best_iteration={trace.best_iteration}\n" in text
     energy = MeasureEnergy(densities_for(data, model.config), eps=model.config.eps_h)
     assert energy.sign_pattern_energy(model.u) == trace.sign_pattern_energy
+
+
+def test_a_run_from_the_optimum_ends_at_its_first_checkpoint():
+    # the start scores lowest, so the first checkpoint is the first above
+    # the one before it, and it is returned: the start never is
+    from ofc.classifier import fit
+    from ofc.data import gen_db
+
+    _, trace = fit(gen_db(2, seed=0), TrainConfig(resolution=64, max_iter=400))
+    assert len(trace.records) == trace.best_iteration == 50
+    assert trace.status == "converged"
+    assert not trace.energy_ascent
+
+
+def test_a_cv_sized_run_from_the_optimum_ends_at_its_first_checkpoint():
+    # a run whose later checkpoints keep falling below iteration 50's; from
+    # the optimum it still ends at 50
+    from ofc.classifier import fit
+    from ofc.data import gen_db, kfold
+
+    data = gen_db(2, seed=4)
+    train_idx, _ = kfold(data, 3, seed=4)[0]
+    cfg = TrainConfig(resolution=32, max_iter=200, beta=1.0)
+    _, trace = fit(data.subset(train_idx), cfg)
+    assert len(trace.records) == trace.best_iteration == 50
+    assert trace.status == "converged"
+
+
+def test_a_checkpoint_above_the_start_is_returned_not_the_start(toy, monkeypatch):
+    pair, _ = toy
+    cfg = TrainConfig(init=RIGHT_BOX, reinit_every=5, max_iter=50)
+    checkpoint, _ = train(pair, replace(cfg, max_iter=5))
+    original, scores = MeasureEnergy.sign_pattern_energy, []
+
+    def start_scores_lowest(self, u, descent="derivative"):
+        scores.append(original(self, u, descent))
+        return -1.0 if len(scores) == 1 else scores[-1]
+
+    monkeypatch.setattr(MeasureEnergy, "sign_pattern_energy", start_scores_lowest)
+    model, trace = train(pair, cfg)
+    assert trace.status == "converged" and len(trace.records) == 5
+    assert trace.best_iteration == 5 and not trace.energy_ascent
+    assert trace.sign_pattern_energy == scores[1]
+    assert model.u.values.tobytes() == checkpoint.u.values.tobytes()
+    assert model.u.values.tobytes() != init_shape(pair.grid, RIGHT_BOX).values.tobytes()
+
+
+@pytest.mark.parametrize("db", [1, 2, 3, 4])
+def test_a_lattice_run_goes_past_its_first_checkpoint(db, monkeypatch):
+    from ofc.classifier import fit
+    from ofc.data import gen_db
+
+    scores = _spy_scores(monkeypatch)
+    cfg = TrainConfig(resolution=32, max_iter=200, init=SphereLattice())
+    _, trace = fit(gen_db(db, seed=0), cfg)
+    assert scores[1] < scores[0]
+    assert len(trace.records) > cfg.reinit_every
 
 
 def test_falling_scores_return_the_last_field(monkeypatch):
@@ -973,7 +1035,8 @@ def test_toy_runs_converge_on_their_last_field(run, request):
 
 def test_restart_clears_the_kept_field(toy, monkeypatch):
     # the lattice a restart starts from scores worse than the box's field at
-    # iteration 5, so a kept box field would stop the run at iteration 10
+    # iteration 5, so a kept box field would stop the run at iteration 10;
+    # scores are the box start, iteration 5, the lattice start, iteration 10
     pair, eps = toy
     original, calls = solver.step, []
 
@@ -988,7 +1051,7 @@ def test_restart_clears_the_kept_field(toy, monkeypatch):
     cfg = TrainConfig(init=RIGHT_BOX, reinit_every=5, max_iter=12)
     _, trace = train(pair, cfg)
     assert trace.restarted
-    assert scores[1] > scores[0]
+    assert scores[3] > scores[1]
     assert trace.status == "max-iter"
     assert trace.best_iteration > 7
 
@@ -1032,7 +1095,7 @@ def test_a_start_without_a_sign_change_falls_back_to_the_lattice():
     # equal densities and counts: every node set scores W+/A, so the
     # optimum takes the whole grid
     pair = balanced_pair()
-    energy = MeasureEnergy(pair, eps=1.5 * max(pair.grid.spacing))
+    energy = MeasureEnergy(pair, eps=solver._resolved(TrainConfig(), pair.grid).eps_h)
     assert energy._optimum_mask().all()
     model, trace = train(pair, TrainConfig(max_iter=1))
     lattice = init_shape(pair.grid, SphereLattice())
@@ -1079,20 +1142,22 @@ def test_kept_field_is_the_lower_of_the_final_field_and_the_checkpoint_before(
     db, reinit_every, monkeypatch
 ):
     # 130 iterations end between redistancings, so a run that reaches them
-    # closes on one more; at reinit_every=50, db1's closing field scores
-    # above its checkpoint at 100, and at 20 below the one at 120
+    # closes on one more; from the lattice at reinit_every=50, db1's closing
+    # field scores above its checkpoint at 100, and at 20 below the one at 120
     from ofc.classifier import fit
     from ofc.data import gen_db
 
     scores = _spy_scores(monkeypatch)
-    cfg = TrainConfig(resolution=32, max_iter=130, reinit_every=reinit_every)
+    cfg = TrainConfig(resolution=32, max_iter=130, reinit_every=reinit_every,
+                      init=SphereLattice())
     _, trace = fit(gen_db(db, seed=0), cfg)
-    assert len(scores) >= 2
+    # the start, checkpoint 0, and at least two trained checkpoints
+    assert len(scores) >= 3
     before, final = scores[-2:]
     assert trace.energy_ascent == (before < final)
     assert trace.sign_pattern_energy == min(before, final)
     if before < final:
-        assert trace.best_iteration == reinit_every * (len(scores) - 1)
+        assert trace.best_iteration == reinit_every * (len(scores) - 2)
     else:
         assert trace.best_iteration == trace.records[-1].iteration
 
