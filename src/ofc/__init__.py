@@ -53,7 +53,6 @@ from .field import (
     write_pgm,
 )
 from .harness import (
-    AnalyticToy,
     ExperimentResult,
     ExperimentSpec,
     NaiveBayesModel,
@@ -142,7 +141,6 @@ __all__ = [
     "smoothed_delta",
     "smoothed_heaviside",
     # baselines and experiments
-    "AnalyticToy",
     "ExperimentResult",
     "ExperimentSpec",
     "NaiveBayesModel",

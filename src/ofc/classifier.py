@@ -38,7 +38,13 @@ from .field import (
 )
 from .metrics import check_positive
 from .solver import (
-    TrainConfig, config_from_text, config_to_text, default_resolution, has_sign_change, train
+    TrainConfig,
+    _resolved,
+    config_from_text,
+    config_to_text,
+    default_resolution,
+    has_sign_change,
+    train,
 )
 
 _FORMAT_NAME = "ofc-model"
@@ -316,9 +322,14 @@ def load(path) -> TrainedClassifier:
         raise ModelFormatError(f"{path}: missing field section (truncated?)")
     try:
         u = field_from_text("\n".join(lines[field_start:]) + "\n")
-        config = {k.removeprefix("config."): v for k, v in kv.items() if k.startswith("config.")}
-        # a known measure, a k that training could have set for it, a 0/1 flag
-        check_measure(kv["kind"])
+        config = config_from_text(
+            {k.removeprefix("config."): v for k, v in kv.items() if k.startswith("config.")}
+        )
+        # a known measure and a descent it takes, the resolution of the
+        # field's grid (as train resolves it), a k that training could have
+        # set for the measure, a 0/1 flag
+        check_measure(kv["kind"], config.descent)
+        _resolved(config, u.grid)
         k = None if kv["k"] == "none" else float(kv["k"])
         if (k is None) != (kv["kind"] == "accuracy"):
             raise ValueError(f"k={kv['k']} does not fit kind={kv['kind']}")
@@ -331,7 +342,7 @@ def load(path) -> TrainedClassifier:
             kind=kv["kind"],
             beta=float(kv["beta"]),
             k=k,
-            config=config_from_text(config),
+            config=config,
             densities_hash=kv["densities_hash"],
             degenerate=kv["degenerate"] == "1",
         )

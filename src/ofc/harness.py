@@ -1,8 +1,9 @@
 """Baselines and the repeated cross-validation experiment driver.
 
 Two reference classifiers accompany the level-set model: a Gaussian Naive
-Bayes baseline and a threshold oracle, exact on 1-D data and refused by an
-experiment on more features.  `run_experiment` repeats stratified k-fold
+Bayes baseline and a threshold oracle, which puts the one threshold of 1-D
+data at its exact empirical optimum and which an experiment on more
+features refuses.  `run_experiment` repeats stratified k-fold
 cross-validation for every requested classifier and beta, pools the
 confusion counts of each test fold, turns them into fold metrics, and
 reports mean +- std across repetitions.
@@ -18,26 +19,15 @@ the ``ofc.harness`` logger.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .classifier import densities_for, fit as ofc_fit, predict as ofc_predict
-from .data import (
-    TOY_NEG_COUNT,
-    TOY_NEG_MEAN,
-    TOY_POS_COUNT,
-    TOY_POS_MEAN,
-    TOY_SIGMA,
-    LabeledDataset,
-    kfold,
-)
-from .density import DensityPair
+from .data import LabeledDataset, kfold
 from .energy import check_measure
 from .errors import DegenerateDataError, DegenerateModelError, DimensionError, OfcError
-from .field import GridSpec, ScalarField
 from .metrics import (
     ConfusionCounts,
     MetricsReport,
@@ -49,72 +39,7 @@ from .solver import TrainConfig
 
 logger = logging.getLogger(__name__)
 
-_SQRT_HALF = math.sqrt(0.5)
 _NB_VAR_FLOOR = 1e-9  # naive Bayes' least variance: a constant feature stays finite
-
-
-def _normal_cdf(z):
-    """Standard normal CDF: a float for a scalar, an array for an array."""
-    if np.ndim(z) == 0:
-        return 0.5 * math.erfc(-float(z) * _SQRT_HALF)
-    z = np.asarray(z, dtype=float)
-    cdf = [0.5 * math.erfc(-v * _SQRT_HALF) for v in z.ravel().tolist()]
-    return np.array(cdf).reshape(z.shape)
-
-
-# ---------------------------------------------------------------------------
-# analytic 1-D toy problem
-
-
-@dataclass(frozen=True)
-class AnalyticToy:
-    """Two 1-D Gaussian classes with closed-form tail integrals.
-
-    Thresholding at tau (positive class where x >= tau) gives exact
-    expected confusion counts, making this the reference problem for
-    threshold sweeps and solver calibration.
-    """
-
-    pos_mean: float = TOY_POS_MEAN
-    neg_mean: float = TOY_NEG_MEAN
-    sigma: float = TOY_SIGMA
-    p_count: float = TOY_POS_COUNT
-    n_count: float = TOY_NEG_COUNT
-    lo: float = -2.0
-    hi: float = 6.0
-
-    def _misses(self, tau):
-        """Expected (fn, fp) at ``tau``: floats for a float, arrays for an array."""
-        fn = self.p_count * _normal_cdf((tau - self.pos_mean) / self.sigma)
-        fp = self.n_count * _normal_cdf((self.neg_mean - tau) / self.sigma)
-        return fn, fp
-
-    def counts_at(self, tau) -> ConfusionCounts:
-        fn, fp = self._misses(float(tau))
-        return ConfusionCounts(
-            tp=self.p_count - fn, fn=fn, fp=fp, tn=self.n_count - fp
-        )
-
-    def metrics_at(self, tau, beta: float = 1.0) -> MetricsReport:
-        return metrics_from_counts(self.counts_at(tau), beta=beta)
-
-    def density_pair(self, resolution: int = 1024) -> DensityPair:
-        grid = GridSpec(bounds=((self.lo, self.hi),), resolution=resolution)
-        x = grid.axes()[0]
-        norm = self.sigma * np.sqrt(2.0 * np.pi)
-        gauss = lambda m: np.exp(-0.5 * ((x - m) / self.sigma) ** 2) / norm
-        return DensityPair(
-            f_pos=ScalarField(grid, gauss(self.pos_mean)),
-            f_neg=ScalarField(grid, gauss(self.neg_mean)),
-            p_count=self.p_count,
-            n_count=self.n_count,
-        )
-
-    def bayes_threshold(self) -> float:
-        """Where count-scaled densities cross (the accuracy optimum)."""
-        mid = 0.5 * (self.pos_mean + self.neg_mean)
-        gap = self.pos_mean - self.neg_mean
-        return mid + self.sigma**2 * np.log(self.n_count / self.p_count) / gap
 
 
 # ---------------------------------------------------------------------------
@@ -187,38 +112,26 @@ def _metric_curves(tp, fn, fp, tn, beta, metric):
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def threshold_oracle(source, beta: float = 1.0, steps: int = 2000, metric: str = "f_beta"):
-    """Best single threshold for labeling x >= tau positive.
+def threshold_oracle(data: LabeledDataset, beta: float = 1.0, metric: str = "f_beta"):
+    """Best single threshold for labeling x >= tau positive on 1-D data.
 
-    On a 1-D LabeledDataset the result is the exact empirical optimum: the
-    taus tried are -inf, the middle of each gap between distinct values,
-    and inf.  On an AnalyticToy, ``steps`` equally spaced taus are swept
-    against the exact tail integrals.  Returns (tau*, metrics at tau*);
-    ties resolve to the smallest tau.
+    The result is the exact empirical optimum: the taus tried are -inf,
+    the middle of each gap between distinct values, and inf.  Returns
+    (tau*, metrics at tau*); ties resolve to the smallest tau.
     """
     check_positive("beta", beta)
-    if isinstance(source, AnalyticToy):
-        if steps < 2:
-            raise ValueError(f"need at least 2 sweep steps, got {steps}")
-        taus = np.linspace(source.lo, source.hi, steps)
-        fn, fp = source._misses(taus)
-        tp = source.p_count - fn
-        tn = source.n_count - fp
-    else:
-        if source.dim != 1:
-            raise DimensionError(
-                f"threshold sweep needs 1-D data, got {source.dim}-D"
-            )
-        x = np.unique(source.points[:, 0])
-        # a gap's middle, or x[i] where the middle rounds down onto x[i-1]
-        mid = 0.5 * x[:-1] + 0.5 * x[1:]
-        taus = np.concatenate(([-np.inf], np.where(mid > x[:-1], mid, x[1:]), [np.inf]))
-        pos = np.sort(source.positives()[:, 0])
-        neg = np.sort(source.negatives()[:, 0])
-        tp = len(pos) - np.searchsorted(pos, taus, side="left")
-        fp = len(neg) - np.searchsorted(neg, taus, side="left")
-        fn = len(pos) - tp
-        tn = len(neg) - fp
+    if data.dim != 1:
+        raise DimensionError(f"threshold sweep needs 1-D data, got {data.dim}-D")
+    x = np.unique(data.points[:, 0])
+    # a gap's middle, or x[i] where the middle rounds down onto x[i-1]
+    mid = 0.5 * x[:-1] + 0.5 * x[1:]
+    taus = np.concatenate(([-np.inf], np.where(mid > x[:-1], mid, x[1:]), [np.inf]))
+    pos = np.sort(data.positives()[:, 0])
+    neg = np.sort(data.negatives()[:, 0])
+    tp = len(pos) - np.searchsorted(pos, taus, side="left")
+    fp = len(neg) - np.searchsorted(neg, taus, side="left")
+    fn = len(pos) - tp
+    tn = len(neg) - fp
     curve = _metric_curves(
         tp.astype(float), fn.astype(float), fp.astype(float), tn.astype(float),
         beta, metric,

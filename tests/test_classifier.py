@@ -535,6 +535,8 @@ def test_load_rejects_truncated_file(toy_fit, tmp_path):
     ("\nkind=f_measure\n", "\nkind=f_measure\nkind=f_measure\n", "repeats 'kind'"),
     ("\nbeta=1.0\n", "\nbeta=3.0\n", "config.beta=1.0"),
     ("\ndegenerate=0\n", "\ndegenerate=1\n", "degenerate=1 disagrees"),
+    ("\nconfig.resolution=16\n", "\nconfig.resolution=64\n",
+     r"resolution 64 disagrees with the grid's cells per axis \(16,\)"),
 ])
 def test_load_rejects_facts_that_disagree(tmp_path, old, new, message):
     text = (GOLDEN / "v1_default.ofc").read_text()
@@ -549,6 +551,8 @@ def test_load_rejects_facts_that_disagree(tmp_path, old, new, message):
     ("default", "\nkind=f_measure\n", "\nkind=gini\n", "unknown energy kind 'gini'"),
     ("default", "\ndegenerate=0\n", "\ndegenerate=2\n", "degenerate=2 is neither 0 nor 1"),
     ("accuracy", "\nk=none\n", "\nk=0.5\n", "k=0.5 does not fit kind=accuracy"),
+    ("accuracy", "\nconfig.descent=derivative\n", "\nconfig.descent=G\n",
+     "descent kind 'G' only applies to the f_measure energy"),
     ("default", "\nk=0.028225806451612902\n", "\nk=none\n", "k=none does not fit"),
     ("default", "\nk=0.028225806451612902\n", "\nk=-0.5\n", "k must be positive"),
     ("default", "\nk=0.028225806451612902\n", "\nk=inf\n", "k must be positive"),

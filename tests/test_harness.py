@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
-from scipy.special import ndtr
 
 import ofc.classifier
 import ofc.density
@@ -17,9 +16,7 @@ import ofc.harness
 from ofc.data import LabeledDataset, gen_toy1d, kfold
 from ofc.errors import DegenerateDataError, DimensionError
 from ofc.harness import (
-    AnalyticToy,
     ExperimentSpec,
-    _normal_cdf,
     naive_bayes_decision,
     naive_bayes_fit,
     naive_bayes_predict,
@@ -35,58 +32,36 @@ def nb_threshold(model, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# normal CDF and the runtime dependencies
+# runtime dependencies
+
+
+# a whole run: a 2-D fit, its predictions and frontier, and a 1-D experiment
+# with every classifier
+WHOLE_RUN = """
+import numpy as np
+from ofc import ExperimentSpec, TrainConfig, fit, frontier, gen_db, gen_toy1d, predict
+from ofc import run_experiment
+data = gen_db(4).subset(np.arange(0, 11000, 20))
+model, _ = fit(data, TrainConfig(resolution=16, max_iter=50))
+predict(model, data.points)
+frontier(model)
+toy = gen_toy1d(0).subset(np.arange(0, 51000, 50))
+spec = ExperimentSpec(data=toy, classifiers=("ofc", "nb", "oracle"), repetitions=1,
+                      folds=2, ofc=TrainConfig(resolution=16, max_iter=50))
+assert not run_experiment(spec).failures
+"""
 
 
 def test_import_does_not_load_scipy():
     src = str(Path(ofc.harness.__file__).resolve().parents[1])
-    code = (
-        "import sys; import ofc; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert done.stdout.strip() == "[]"
-
-
-def test_normal_cdf_matches_ndtr():
-    z = np.linspace(-8.0, 8.0, 4001)
-    got = _normal_cdf(z)
-    assert isinstance(got, np.ndarray) and got.shape == z.shape
-    np.testing.assert_allclose(got, ndtr(z), rtol=1e-13, atol=0)
-    grid = _normal_cdf(z.reshape(1, -1, 1))
-    assert grid.shape == (1, z.size, 1)
-    for v in (-8.0, -1.5, 0.0, 0.3, 8.0, np.float64(2.5)):
-        cdf = _normal_cdf(v)
-        assert type(cdf) is float
-        assert cdf == pytest.approx(float(ndtr(v)), rel=1e-13, abs=0)
-
-
-# ---------------------------------------------------------------------------
-# analytic toy
-
-
-def test_analytic_toy_counts_are_tail_integrals():
-    toy = AnalyticToy()
-    counts = toy.counts_at(toy.pos_mean)  # half of the positives kept
-    assert counts.tp == pytest.approx(500.0)
-    assert counts.fn == pytest.approx(500.0)
-    assert counts.tp + counts.fn == pytest.approx(1000.0)
-    assert counts.fp + counts.tn == pytest.approx(50000.0)
-
-
-def test_analytic_toy_bayes_threshold():
-    assert AnalyticToy().bayes_threshold() == pytest.approx(3.956, abs=1e-3)
-
-
-def test_analytic_toy_density_pair_normalized():
-    from ofc.field import integrate
-
-    pair = AnalyticToy().density_pair(resolution=2048)
-    assert integrate(pair.f_pos) == pytest.approx(1.0, abs=2e-3)
-    assert integrate(pair.f_neg) == pytest.approx(1.0, abs=2e-3)
+    loaded = "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    for run in ("import ofc", WHOLE_RUN):
+        done = subprocess.run(
+            [sys.executable, "-c", f"{run}\n{loaded}"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +111,6 @@ def test_naive_bayes_needs_two_samples_per_class():
 # threshold oracle
 
 
-def test_oracle_analytic_self_consistency():
-    toy = AnalyticToy()
-    tau, report = threshold_oracle(toy, steps=2000)
-    tau_fine, _ = threshold_oracle(toy, steps=20000)
-    one_step = (toy.hi - toy.lo) / 1999
-    assert abs(tau_fine - tau) < one_step
-    assert 0.35 <= report.f_beta <= 0.45  # frozen: ~0.399 at the optimum
-
-
 def test_oracle_tie_breaks_to_smallest_tau():
     pos = np.linspace(2.0, 3.0, 6)[:, None]
     neg = np.linspace(0.0, 1.0, 10)[:, None]
@@ -192,9 +158,9 @@ def test_oracle_is_the_exact_empirical_optimum(points, beta):
 
 
 def test_oracle_large_beta_floods_toward_recall():
-    toy = AnalyticToy()
-    tau1, _ = threshold_oracle(toy, beta=1.0)
-    tau100, rep100 = threshold_oracle(toy, beta=100.0)
+    data = gen_toy1d(seed=0)
+    tau1, _ = threshold_oracle(data, beta=1.0)
+    tau100, rep100 = threshold_oracle(data, beta=100.0)
     assert tau100 < tau1
     assert rep100.recall >= 0.99
 
@@ -203,38 +169,21 @@ def test_oracle_accuracy_metric_agrees_with_naive_bayes():
     data = gen_toy1d(seed=0)
     tau_acc, _ = threshold_oracle(data, metric="accuracy")
     model = naive_bayes_fit(data)
-    two_steps = 2 * (data.points.max() - data.points.min()) / 199  # of a 200-tau grid
+    two_steps = 2 * (data.points.max() - data.points.min()) / 199  # about 1% of the data's range
     assert abs(tau_acc - nb_threshold(model, 3.0, 5.0)) <= two_steps
-
-
-def test_oracle_curves_have_textbook_shapes():
-    # Over a rising threshold: precision climbs, recall falls, F1 rises
-    # once then falls once.
-    toy = AnalyticToy()
-    taus = np.linspace(1.0, 6.0, 400)
-    reports = [toy.metrics_at(t) for t in taus]
-    precision = np.array([r.precision for r in reports])
-    recall = np.array([r.recall for r in reports])
-    f1 = np.array([r.f_beta for r in reports])
-    assert np.all(np.diff(precision) >= -1e-12)
-    assert np.all(np.diff(recall) <= 1e-12)
-    rising = (np.diff(f1) > 0).astype(int)
-    assert np.sum(np.abs(np.diff(rising))) == 1
 
 
 def test_oracle_input_validation():
     data2d = LabeledDataset(np.zeros((6, 2)) + np.arange(6)[:, None], np.arange(6) < 3)
     with pytest.raises(DimensionError):
         threshold_oracle(data2d)
-    toy = AnalyticToy()
+    data1d = small_separable()
     with pytest.raises(ValueError):
-        threshold_oracle(toy, steps=1)
-    with pytest.raises(ValueError):
-        threshold_oracle(toy, beta=0.0)
+        threshold_oracle(data1d, beta=0.0)
     with pytest.raises(ValueError, match="finite"):
-        threshold_oracle(toy, beta=float("inf"))
+        threshold_oracle(data1d, beta=float("inf"))
     with pytest.raises(ValueError):
-        threshold_oracle(toy, metric="auc")
+        threshold_oracle(data1d, metric="auc")
 
 
 # ---------------------------------------------------------------------------
