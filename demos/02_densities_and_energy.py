@@ -22,6 +22,7 @@ from ofc import (
     gen_toy1d,
     integrate,
 )
+from ofc.data import TOY_NEG_COUNT, TOY_NEG_MEAN, TOY_POS_COUNT, TOY_POS_MEAN, TOY_SIGMA
 from ofc.solver import _resolved
 
 
@@ -48,11 +49,13 @@ def main():
 
     # Closed-form references from exact Gaussian tails.
     sweep = np.linspace(2.0, 5.0, 30001)
-    fn = 1000 * ndtr(sweep - 3.0)
-    fp = 50000 * ndtr(1.0 - sweep)
-    tp = 1000 - fn
+    fn = TOY_POS_COUNT * ndtr((sweep - TOY_POS_MEAN) / TOY_SIGMA)
+    fp = TOY_NEG_COUNT * ndtr((TOY_NEG_MEAN - sweep) / TOY_SIGMA)
+    tp = TOY_POS_COUNT - fn
     f1_ref = sweep[np.argmax(2 * tp / (2 * tp + fn + fp))]
-    acc_ref = 2.0 + 0.5 * np.log(50.0)
+    # equal widths: the count-scaled densities cross at one point
+    acc_ref = 0.5 * (TOY_POS_MEAN + TOY_NEG_MEAN) + TOY_SIGMA**2 / (
+        TOY_POS_MEAN - TOY_NEG_MEAN) * np.log(TOY_NEG_COUNT / TOY_POS_COUNT)
 
     print("\nthreshold sweep through the energies (lower = better):")
     print(f"  F1 energy minimum at tau = {f1_tau:.3f}  "

@@ -25,19 +25,21 @@ from ofc import (
     init_shape,
     train,
 )
+from ofc.data import TOY_NEG_COUNT, TOY_NEG_MEAN, TOY_POS_COUNT, TOY_POS_MEAN, TOY_SIGMA
 from ofc.solver import _resolved
 
 OUT = Path(__file__).parent / "out"
-P, N = 1000.0, 50000.0
+P, N = float(TOY_POS_COUNT), float(TOY_NEG_COUNT)
+MU_P, MU_N, SIGMA = TOY_POS_MEAN, TOY_NEG_MEAN, TOY_SIGMA
 
 
 def analytic_pair(resolution=1024):
     grid = GridSpec(bounds=((-2.0, 6.0),), resolution=resolution)
     x = grid.axes()[0]
-    phi = lambda m: np.exp(-0.5 * (x - m) ** 2) / np.sqrt(2 * np.pi)
+    phi = lambda m: np.exp(-0.5 * ((x - m) / SIGMA) ** 2) / (SIGMA * np.sqrt(2 * np.pi))
     return DensityPair(
-        f_pos=ScalarField(grid, phi(3.0)),
-        f_neg=ScalarField(grid, phi(1.0)),
+        f_pos=ScalarField(grid, phi(MU_P)),
+        f_neg=ScalarField(grid, phi(MU_N)),
         p_count=P,
         n_count=N,
     )
@@ -45,7 +47,7 @@ def analytic_pair(resolution=1024):
 
 def run(kind):
     pair = analytic_pair()
-    init = Box(lo=(3.0,), hi=(6.0,))
+    init = Box(lo=(MU_P,), hi=(6.0,))
     cfg = TrainConfig(init=init, reinit_every=300, max_iter=12000)
     if kind == "f_measure":
         # a tenth of the automatic step, sized on the energy train builds
@@ -66,19 +68,20 @@ def main():
     f1_tau = run("f_measure")
 
     taus = np.linspace(-2.0, 6.0, 20001)
-    fn = P * ndtr(taus - 3.0)
+    fn = P * ndtr((taus - MU_P) / SIGMA)
     tp = P - fn
-    fp = N * ndtr(1.0 - taus)
+    fp = N * ndtr((MU_N - taus) / SIGMA)
     f1_ref = taus[np.argmax(2 * tp / (2 * tp + fn + fp))]
-    acc_ref = 2.0 + 0.5 * np.log(N / P)
-    accuracy = lambda t: (P * ndtr(3.0 - t) + N * ndtr(t - 1.0)) / (P + N)
+    # equal widths: the count-scaled densities cross at one point
+    acc_ref = 0.5 * (MU_P + MU_N) + SIGMA**2 / (MU_P - MU_N) * np.log(N / P)
+    accuracy = lambda t: (P * ndtr((MU_P - t) / SIGMA) + N * ndtr((t - MU_N) / SIGMA)) / (P + N)
 
     print(f"\nreference optima: accuracy {acc_ref:.4f}, F1 {f1_ref:.4f}")
     print(f"accuracy cost of maximizing F1 instead: "
           f"{100 * (accuracy(acc_ref) - accuracy(f1_tau)):.2f} points")
     print(f"F1 side of the trade: the F1-optimal frontier recalls "
-          f"{100 * ndtr(3.0 - f1_ref):.1f}% of positives, the "
-          f"accuracy-optimal one only {100 * ndtr(3.0 - acc_tau):.1f}%")
+          f"{100 * ndtr((MU_P - f1_ref) / SIGMA):.1f}% of positives, the "
+          f"accuracy-optimal one only {100 * ndtr((MU_P - acc_tau) / SIGMA):.1f}%")
 
 
 if __name__ == "__main__":

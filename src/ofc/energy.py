@@ -114,7 +114,13 @@ class MeasureEnergy:
         check_positive("beta", self.beta)
         object.__setattr__(self, "beta", float(self.beta))
         if self.kind == "f_measure":
-            k = self.beta**2 * self.pair.p_count / self.pair.n_count
+            p, n = self.pair.p_count, self.pair.n_count
+            k = self.beta**2 * p / n
+            if k == 0.0:  # beta passed its check, so k underflowed
+                raise ValueError(
+                    f"beta {self.beta!r} is too small for {p} positives and {n} "
+                    f"negatives: k = beta**2 * {p} / {n} underflows to 0"
+                )
             check_positive("k", k)
             object.__setattr__(self, "k", float(k))
         # quadrature-weighted densities, one row per class, and half their

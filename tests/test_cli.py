@@ -147,6 +147,11 @@ def test_train_invalid_flag_value_is_usage_error(tmp_path, separable_csv, capsys
         assert run("train", "--data", separable_csv, "--out", tmp_path / "m.txt",
                    "--beta", beta) == 1
         assert "beta must be positive and finite" in capsys.readouterr().err
+    # a beta whose square underflows is refused by name, with the class counts
+    assert run("train", "--data", separable_csv, "--out", tmp_path / "m.txt",
+               "--beta", "1e-170") == 1
+    assert ("beta 1e-170 is too small for 30 positives and 30 negatives: "
+            "k = beta**2 * 30 / 30 underflows to 0") in capsys.readouterr().err
     # squares that overflow: eps_h**2 in the energy, bandwidth**2 in the KDE
     assert run("train", "--data", separable_csv, "--out", tmp_path / "m.txt",
                "--eps-h", "1e200") == 1
@@ -156,6 +161,10 @@ def test_train_invalid_flag_value_is_usage_error(tmp_path, separable_csv, capsys
     assert "bandwidth must be positive and finite, with a finite square" in (
         capsys.readouterr().err)
     assert not (tmp_path / "m.txt").exists()
+    # a subnormal square leaves k positive, so the run goes ahead
+    assert run("train", "--data", separable_csv, "--out", tmp_path / "tiny.txt",
+               "--beta", "1e-160") in (0, 3)
+    assert "too small" not in capsys.readouterr().err
 
 
 def test_train_out_of_memory_is_usage_error(tmp_path, separable_csv, monkeypatch,

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtr
 
 from ofc.density import DensityPair
 from ofc import energy as energy_module
@@ -19,20 +18,7 @@ from ofc.metrics import (
     smoothed_delta,
     smoothed_heaviside,
 )
-
-P_COUNT, N_COUNT = 1000.0, 50000.0
-
-
-def toy_pair(resolution=2048):
-    grid = GridSpec(bounds=((-2.0, 6.0),), resolution=resolution)
-    x = grid.axes()[0]
-    phi = lambda m: np.exp(-0.5 * (x - m) ** 2) / np.sqrt(2 * np.pi)
-    return DensityPair(
-        f_pos=ScalarField(grid, phi(3.0)),
-        f_neg=ScalarField(grid, phi(1.0)),
-        p_count=P_COUNT,
-        n_count=N_COUNT,
-    )
+from toy1d import BAYES_TAU, N_COUNT, P_COUNT, TOY_BOUNDS, normal_pdf, tail_counts, toy_pair
 
 
 def threshold_field(pair, tau):
@@ -41,9 +27,7 @@ def threshold_field(pair, tau):
 
 def analytic_epsilon(tau, beta=1.0):
     """Misclassification ratio of the region x > tau, from Gaussian tails."""
-    fn = P_COUNT * ndtr(tau - 3.0)
-    tp = P_COUNT - fn
-    fp = N_COUNT * ndtr(1.0 - tau)
+    tp, fn, fp, _ = tail_counts(tau)
     return (beta**2 * fn + fp) / tp
 
 
@@ -62,7 +46,7 @@ def test_energy_is_count_ratio_times_epsilon():
 
 
 def test_threshold_sweep_minimum_matches_analytic_ratio():
-    pair = toy_pair()
+    pair = toy_pair(2048)
     spacing = pair.grid.spacing[0]
     energy = MeasureEnergy(pair, eps=spacing)
     taus = np.linspace(2.8, 3.8, 201)
@@ -74,16 +58,15 @@ def test_threshold_sweep_minimum_matches_analytic_ratio():
 
 
 def test_accuracy_energy_minimized_at_density_crossing():
-    pair = toy_pair()
+    pair = toy_pair(2048)
     # The minimum is shallow; a narrow step keeps the smoothing bias (linear
     # in eps via the arctan tails) below the sweep tolerance.
     energy = MeasureEnergy(pair, eps=0.001, kind="accuracy")
     taus = np.linspace(3.0, 5.0, 401)
     curve = [energy.evaluate(threshold_field(pair, t)) for t in taus]
     # Oracle: count-scaled densities cross where exp(2x - 4) == 50.
-    tau_star = 2.0 + 0.5 * np.log(N_COUNT / P_COUNT)
-    assert taus[int(np.argmin(curve))] == pytest.approx(tau_star, abs=0.02)
-    assert tau_star == pytest.approx(3.956, abs=0.001)
+    assert taus[int(np.argmin(curve))] == pytest.approx(BAYES_TAU, abs=0.02)
+    assert BAYES_TAU == pytest.approx(3.956, abs=0.001)
 
 
 def g_mean(e, a, b, c):
@@ -127,14 +110,14 @@ def test_gradient_matches_central_differences(kind, beta):
 def test_all_positive_field_has_unit_energy():
     # Predicting everything positive misclassifies every negative and no
     # positive: E = (k*0 + 1)/1 once the smoothing width is negligible.
-    pair = toy_pair()
+    pair = toy_pair(2048)
     energy = MeasureEnergy(pair, eps=1e-6)
     u = ScalarField(pair.grid, np.ones(pair.grid.shape))
     assert abs(energy.evaluate(u) - 1.0) <= 1e-6
 
 
 def test_perfect_separation_has_zero_energy():
-    grid = GridSpec(bounds=((-2.0, 6.0),), resolution=1024)
+    grid = GridSpec(bounds=TOY_BOUNDS, resolution=1024)
     x = grid.axes()[0]
     tri = lambda c, w: np.maximum(0.0, 1.0 - np.abs(x - c) / w) / w
     pair = DensityPair(
@@ -151,9 +134,9 @@ def test_perfect_separation_has_zero_energy():
 def test_accuracy_gradient_zero_when_count_scaled_densities_match():
     # N*f_neg == P*f_pos everywhere makes every point a fixed point of the
     # misclassification flow.
-    grid = GridSpec(bounds=((-2.0, 6.0),), resolution=256)
+    grid = GridSpec(bounds=TOY_BOUNDS, resolution=256)
     x = grid.axes()[0]
-    phi = np.exp(-0.5 * (x - 2.0) ** 2) / np.sqrt(2 * np.pi)
+    phi = normal_pdf(x, 2.0)
     pair = DensityPair(
         f_pos=ScalarField(grid, phi),
         f_neg=ScalarField(grid, phi),
@@ -168,7 +151,7 @@ def test_accuracy_gradient_zero_when_count_scaled_densities_match():
 def test_gradient_vanishes_where_densities_balance():
     # The variation changes sign exactly where f_neg == (k + E) * f_pos; for
     # the two toy Gaussians that point is x = (4 - log(k + E)) / 2.
-    pair = toy_pair()
+    pair = toy_pair(2048)
     x = pair.grid.axes()[0]
     energy = MeasureEnergy(pair, eps=1.5 * pair.grid.spacing[0])
     u = threshold_field(pair, 3.23)
@@ -306,7 +289,7 @@ def test_surrogate_step_lowers_its_own_energy():
 
 
 def test_stationarity_residual_smaller_near_optimum():
-    pair = toy_pair()
+    pair = toy_pair(2048)
     energy = MeasureEnergy(pair, eps=pair.grid.spacing[0])
     near = energy.stationarity_residual(threshold_field(pair, 3.28))
     far = energy.stationarity_residual(threshold_field(pair, 2.5))
@@ -453,6 +436,9 @@ def test_constructor_validation():
     # beta**2 is finite, but beta**2 * p_count overflows
     with pytest.raises(ValueError, match="k must be positive and finite"):
         MeasureEnergy(pair, eps=0.05, beta=1e154)
+    # beta**2 underflows, so k would be 0
+    with pytest.raises(ValueError, match=r"beta 1e-170 is too small for 1000.0 positives"):
+        MeasureEnergy(pair, eps=0.05, beta=1e-170)
     with pytest.raises(ValueError):
         MeasureEnergy(pair, eps=0.05, beta=0.0)
     with pytest.raises(ValueError, match="finite"):

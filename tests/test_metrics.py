@@ -1,9 +1,7 @@
 """Confusion algebra and measure formulas, checked against hand oracles."""
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
-from ofc.density import DensityPair
 from ofc.errors import EmptyConfusionError, GridMismatchError
 from ofc.field import GridSpec, ScalarField
 from ofc.metrics import (
@@ -15,7 +13,7 @@ from ofc.metrics import (
     smoothed_delta,
     smoothed_heaviside,
 )
-
+from toy1d import N_COUNT, P_COUNT, tail_counts, toy_pair
 
 def test_heaviside_partition_exact():
     y = np.linspace(-40.0, 40.0, 1001)
@@ -130,59 +128,46 @@ def test_confusion_from_predictions():
         confusion_from_predictions(labels, preds[:-1])
 
 
-def _toy_pair(grid):
-    """Analytic 1-D class densities: positives N(3,1), negatives N(1,1)."""
-    x = grid.axes()[0]
-    phi = lambda m: np.exp(-0.5 * (x - m) ** 2) / np.sqrt(2 * np.pi)
-    return DensityPair(
-        f_pos=ScalarField(grid, phi(3.0)),
-        f_neg=ScalarField(grid, phi(1.0)),
-        p_count=1000.0,
-        n_count=50000.0,
-    )
+# the toy's bounds widened to hold both classes' tails
+WIDE = ((-4.0, 8.0),)
 
 
 def test_smoothed_confusion_partition_identities():
-    grid = GridSpec(bounds=((-4.0, 8.0),), resolution=1536)
-    pair = _toy_pair(grid)
+    pair = toy_pair(1536, bounds=WIDE)
+    grid = pair.grid
     x = grid.axes()[0]
     u = ScalarField(grid, np.sin(x))  # multiple crossings
     c = smoothed_confusion(u, pair, eps=0.2)
-    mass_pos = 1000.0 * np.trapezoid(pair.f_pos.values, x)
-    mass_neg = 50000.0 * np.trapezoid(pair.f_neg.values, x)
+    mass_pos = P_COUNT * np.trapezoid(pair.f_pos.values, x)
+    mass_neg = N_COUNT * np.trapezoid(pair.f_neg.values, x)
     assert c.tp + c.fn == pytest.approx(mass_pos, rel=1e-12)
     assert c.fp + c.tn == pytest.approx(mass_neg, rel=1e-12)
 
 
 def test_smoothed_confusion_matches_analytic_tails():
-    grid = GridSpec(bounds=((-4.0, 8.0),), resolution=1536)
-    pair = _toy_pair(grid)
+    pair = toy_pair(1536, bounds=WIDE)
     tau = 3.956
-    u = ScalarField(grid, grid.axes()[0] - tau)
+    u = ScalarField(pair.grid, pair.grid.axes()[0] - tau)
     # eps well under the grid spacing: the arctan step has heavy tails, and
     # its bias on the counts is linear in eps.
     m = metrics_from_counts(smoothed_confusion(u, pair, eps=0.001))
     # Oracle: exact Gaussian tail masses on either side of tau.
-    tp = 1000.0 * ndtr(3.0 - tau)
-    fp = 50000.0 * ndtr(1.0 - tau)
-    fn, tn = 1000.0 - tp, 50000.0 - fp
-    acc = (tp + tn) / 51000.0
+    tp, _, _, tn = tail_counts(tau)
+    acc = (tp + tn) / (P_COUNT + N_COUNT)
     assert m.accuracy == pytest.approx(acc, abs=1e-3)
-    assert m.recall == pytest.approx(tp / 1000.0, abs=2e-3)
+    assert m.recall == pytest.approx(tp / P_COUNT, abs=2e-3)
 
 
 def test_smoothed_confusion_grid_mismatch():
-    grid_a = GridSpec(bounds=((-4.0, 8.0),), resolution=64)
-    grid_b = GridSpec(bounds=((-4.0, 8.0),), resolution=65)
-    pair = _toy_pair(grid_a)
+    pair = toy_pair(64, bounds=WIDE)
+    grid_b = GridSpec(bounds=WIDE, resolution=65)
     u = ScalarField(grid_b, np.zeros(grid_b.shape))
     with pytest.raises(GridMismatchError):
         smoothed_confusion(u, pair, eps=0.1)
 
 
 def test_smoothed_confusion_bad_eps():
-    grid = GridSpec(bounds=((-4.0, 8.0),), resolution=64)
-    pair = _toy_pair(grid)
-    u = ScalarField(grid, np.zeros(grid.shape))
+    pair = toy_pair(64, bounds=WIDE)
+    u = ScalarField(pair.grid, np.zeros(pair.grid.shape))
     with pytest.raises(ValueError):
         smoothed_confusion(u, pair, eps=0.0)

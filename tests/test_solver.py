@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from ofc import solver
 from ofc.density import DensityPair
@@ -39,79 +38,27 @@ from ofc.solver import (
     train,
 )
 from ofc.classifier import frontier
-
-P_COUNT, N_COUNT = 1000.0, 50000.0
-TOY_BOUNDS = ((-2.0, 6.0),)
-
-
-def toy_pair(resolution=1024):
-    grid = GridSpec(bounds=TOY_BOUNDS, resolution=resolution)
-    x = grid.axes()[0]
-    phi = lambda m: np.exp(-0.5 * (x - m) ** 2) / np.sqrt(2 * np.pi)
-    return DensityPair(
-        f_pos=ScalarField(grid, phi(3.0)),
-        f_neg=ScalarField(grid, phi(1.0)),
-        p_count=P_COUNT,
-        n_count=N_COUNT,
-    )
+from toy1d import (
+    RIGHT_BOX,
+    SWEEP_TAUS,
+    TOY_BOUNDS,
+    cold_dt,
+    normal_pdf,
+    tail_counts,
+    train_energy,
+)
 
 
 def balanced_pair(resolution=256):
     """Identical class densities and counts: every field is a fixed point."""
     grid = GridSpec(bounds=TOY_BOUNDS, resolution=resolution)
-    x = grid.axes()[0]
-    phi = np.exp(-0.5 * (x - 2.0) ** 2) / np.sqrt(2 * np.pi)
+    phi = normal_pdf(grid.axes()[0], 2.0)
     return DensityPair(
         f_pos=ScalarField(grid, phi),
         f_neg=ScalarField(grid, phi),
         p_count=500,
         n_count=500,
     )
-
-
-def sweep_best_threshold(score):
-    """Brute-force threshold oracle on analytic Gaussian tails."""
-    taus = np.linspace(-2.0, 6.0, 2000)
-    fn = P_COUNT * ndtr(taus - 3.0)
-    tp = P_COUNT - fn
-    fp = N_COUNT * ndtr(1.0 - taus)
-    tn = N_COUNT - fp
-    return taus[int(np.argmax(score(tp, fn, fp, tn)))]
-
-
-def toy_accuracy(tau):
-    """Fraction of the two classes labeled correctly by the region x > tau."""
-    return (P_COUNT * ndtr(3.0 - tau) + N_COUNT * ndtr(tau - 1.0)) / (
-        P_COUNT + N_COUNT
-    )
-
-
-RIGHT_BOX = Box(lo=(3.0,), hi=(6.0,))
-
-
-@pytest.fixture(scope="module")
-def toy():
-    pair = toy_pair()
-    eps = solver._resolved(TrainConfig(), pair.grid).eps_h
-    return pair, eps
-
-
-@pytest.fixture(scope="module")
-def trained_f1(toy):
-    pair, eps = toy
-    energy = MeasureEnergy(pair, eps=eps)
-    base = auto_time_step(init_shape(pair.grid, RIGHT_BOX), energy, TrainConfig())
-    cfg = TrainConfig(init=RIGHT_BOX, dt=base / 10, reinit_every=300, max_iter=8000)
-    model, trace = train(pair, cfg)
-    return model, trace, energy, cfg
-
-
-@pytest.fixture(scope="module")
-def trained_accuracy(toy):
-    pair, _ = toy
-    cfg = TrainConfig(init=RIGHT_BOX, reinit_every=300, max_iter=12000)
-    model, trace = train(pair, cfg, "accuracy")
-    return model, trace
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +203,7 @@ def test_one_step_lowers_energy(toy):
     pair, eps = toy
     energy = MeasureEnergy(pair, eps=eps)
     u = ScalarField(pair.grid, pair.grid.axes()[0] - 2.0)
-    dt = auto_time_step(u, energy, TrainConfig()) / 10
+    dt = cold_dt(pair, u)
     stepped = step(u, energy, TrainConfig(lam=0.0), dt=dt)
     assert energy.evaluate(stepped) < energy.evaluate(u)
 
@@ -393,7 +340,7 @@ def test_reinitialize_keeps_every_class_on_integer_fields():
     pytest.param(2, 128, 4, id="2-128"),
     pytest.param(3, 20, 1, id="3-20"),
 ])
-def test_reinitialize_same_bytes_on_cold_and_warm_slice_cache(
+def test_reinitialize_tiled_matches_one_tile_search(
     dim, resolution, wavenumber, monkeypatch
 ):
     """Tiled redistancing matches the one-tile search to 1e-12 cell."""
@@ -569,36 +516,9 @@ def test_reinitialize_and_fit_same_bytes_with_one_blas_thread(tmp_path):
 # full training runs on the 1-D toy problem
 
 
-def test_train_accuracy_toy_converges_to_bayes_threshold(trained_accuracy):
-    model, trace = trained_accuracy
-    assert trace.status == "converged"
-    crossings = frontier(model)
-    assert len(crossings) == 1
-    assert 3.91 <= crossings[0] <= 4.01
-
-
-def test_train_f_measure_toy_matches_threshold_oracle(trained_f1):
-    model, trace, _, _ = trained_f1
-    assert trace.status == "converged"
-    tau_star = sweep_best_threshold(
-        lambda tp, fn, fp, tn: np.where(tp > 0, 2 * tp / (2 * tp + fn + fp), 0.0)
-    )
-    crossings = frontier(model)
-    assert len(crossings) == 1
-    assert abs(crossings[0] - tau_star) <= 0.05
-
-
-def test_train_f_measure_accuracy_close_to_best_possible(trained_f1):
-    # Maximizing F1 costs well under one point of accuracy here.
-    model, _, _, _ = trained_f1
-    tau = frontier(model)[0]
-    best = toy_accuracy(2.0 + 0.5 * np.log(N_COUNT / P_COUNT))
-    assert toy_accuracy(tau) >= best - 0.01
-
-
 def test_converged_run_has_small_stationarity_residual(trained_f1):
-    model, trace, energy, cfg = trained_f1
-    assert energy.stationarity_residual(model.u) <= 2.0 * cfg.tol / trace.final_dt
+    model, trace, energy, _ = trained_f1
+    assert energy.stationarity_residual(model.u) <= 2.0 * model.config.tol / trace.final_dt
 
 
 def test_frontier_sits_where_densities_balance(trained_f1):
@@ -632,31 +552,28 @@ def test_train_g_direction_optimizes_its_surrogate(toy):
     # The alternative descent direction drops the 1/A**2 factor and scales
     # the miss term by beta**2 instead of k, so its stationary threshold is
     # the sweep optimum of (b + c)/a, not the F1 optimum.
-    pair, eps = toy
-    energy = MeasureEnergy(pair, eps=eps)
-    base = auto_time_step(init_shape(pair.grid, RIGHT_BOX), energy, TrainConfig())
+    pair, _ = toy
     cfg = TrainConfig(
-        init=RIGHT_BOX, dt=base / 30, reinit_every=300, max_iter=12000, descent="G"
+        init=RIGHT_BOX, dt=cold_dt(pair, n=30), reinit_every=300, max_iter=12000, descent="G"
     )
     model, trace = train(pair, cfg)
-    taus = np.linspace(-2.0, 6.0, 2000)
-    a = ndtr(3.0 - taus)
-    ratio = np.where(a > 1e-9, (ndtr(taus - 3.0) + ndtr(1.0 - taus)) / a, np.inf)
-    tau_g = taus[int(np.argmin(ratio))]
+    tp, fn, fp, _ = tail_counts(SWEEP_TAUS)
+    a, b, c = tp / pair.p_count, fn / pair.p_count, fp / pair.n_count
+    ratio = np.where(a > 1e-9, (b + c) / a, np.inf)
+    tau_g = SWEEP_TAUS[int(np.argmin(ratio))]
     crossings = frontier(model)
     assert len(crossings) == 1
     assert abs(crossings[0] - tau_g) <= 0.05
 
 
 def test_train_lattice_offsets_agree(toy):
-    pair, eps = toy
-    energy = MeasureEnergy(pair, eps=eps)
-    base = auto_time_step(init_shape(pair.grid, RIGHT_BOX), energy, TrainConfig())
+    pair, _ = toy
+    dt = cold_dt(pair)
     first = []
     for off in (0.0, 0.17, 0.31):
         cfg = TrainConfig(
             init=SphereLattice(offset=(off,)),
-            dt=base / 10,
+            dt=dt,
             reinit_every=300,
             max_iter=12000,
         )
@@ -675,10 +592,9 @@ def test_train_separable_classes_perfectly():
         p_count=500,
         n_count=500,
     )
-    energy = MeasureEnergy(pair, eps=solver._resolved(TrainConfig(), grid).eps_h)
     box = Box(lo=(-0.9,), hi=(2.0,))
-    base = auto_time_step(init_shape(grid, box), energy, TrainConfig())
-    cfg = TrainConfig(init=box, dt=base / 10, reinit_every=300, max_iter=6000)
+    dt = cold_dt(pair, init_shape(grid, box))
+    cfg = TrainConfig(init=box, dt=dt, reinit_every=300, max_iter=6000)
     model, _ = train(pair, cfg)
     vals = model.u.values
     assert np.all(vals[(x >= 0.0) & (x <= 1.0)] > 0)  # every positive kept
@@ -686,11 +602,9 @@ def test_train_separable_classes_perfectly():
 
 
 def test_train_without_diffusion_descends_monotonically(toy):
-    pair, eps = toy
-    energy = MeasureEnergy(pair, eps=eps)
-    base = auto_time_step(init_shape(pair.grid, RIGHT_BOX), energy, TrainConfig())
+    pair, _ = toy
     cfg = TrainConfig(
-        init=RIGHT_BOX, dt=base / 10, lam=0.0, reinit_every=300, max_iter=600
+        init=RIGHT_BOX, dt=cold_dt(pair), lam=0.0, reinit_every=300, max_iter=600
     )
     _, trace = train(pair, cfg)
     e = np.array([r.energy for r in trace.records])
@@ -746,9 +660,8 @@ def test_train_reports_max_iter(toy):
 
 def test_train_integrates_each_field_once(toy, monkeypatch):
     # evaluate's (A, B, C) of a field are reused by the next step
-    pair, eps = toy
-    energy = MeasureEnergy(pair, eps=eps)
-    dt = auto_time_step(init_shape(pair.grid, RIGHT_BOX), energy, TrainConfig()) / 10
+    pair, _ = toy
+    dt = cold_dt(pair)
     calls = []
     original = MeasureEnergy._fractions
 
@@ -770,7 +683,7 @@ def test_train_redistances_the_result_once(toy, monkeypatch, max_iter, expected)
     # the closing redistancing is skipped when the last iteration did it
     pair, eps = toy
     energy = MeasureEnergy(pair, eps=eps)
-    dt = auto_time_step(init_shape(pair.grid, RIGHT_BOX), energy, TrainConfig()) / 10
+    dt = cold_dt(pair)
     calls = []
     original = solver.reinitialize
 
@@ -1026,7 +939,7 @@ def test_falling_scores_return_the_last_field(monkeypatch):
 def test_toy_runs_converge_on_their_last_field(run, request):
     # the acceptance 02 and 03 runs: the scores never rise, so the tol rule
     # still stops them and the last field is returned
-    trace = request.getfixturevalue(run)[1]
+    trace = request.getfixturevalue(run).trace
     assert trace.status == "converged"
     assert all(r.max_update < TrainConfig().tol for r in trace.records[-5:])
     assert trace.best_iteration == trace.records[-1].iteration
@@ -1095,7 +1008,7 @@ def test_a_start_without_a_sign_change_falls_back_to_the_lattice():
     # equal densities and counts: every node set scores W+/A, so the
     # optimum takes the whole grid
     pair = balanced_pair()
-    energy = MeasureEnergy(pair, eps=solver._resolved(TrainConfig(), pair.grid).eps_h)
+    energy = train_energy(pair)
     assert energy._optimum_mask().all()
     model, trace = train(pair, TrainConfig(max_iter=1))
     lattice = init_shape(pair.grid, SphereLattice())
