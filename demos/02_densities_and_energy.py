@@ -21,9 +21,9 @@ from ofc import (
     estimate_pair,
     gen_toy1d,
     integrate,
+    resolved_config,
 )
 from ofc.data import TOY_NEG_COUNT, TOY_NEG_MEAN, TOY_POS_COUNT, TOY_POS_MEAN, TOY_SIGMA
-from ofc.solver import _resolved
 
 
 def main():
@@ -35,7 +35,7 @@ def main():
           f"{integrate(pair.f_pos):.6f}, {integrate(pair.f_neg):.6f}")
 
     x = grid.axes()[0]
-    eps = _resolved(TrainConfig(), grid).eps_h  # the width training uses
+    eps = resolved_config(TrainConfig(), grid).eps_h  # the width training uses
     taus = np.linspace(2.0, 5.0, 301)
 
     def energy_curve(kind):

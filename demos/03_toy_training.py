@@ -23,10 +23,10 @@ from ofc import (
     auto_time_step,
     frontier,
     init_shape,
+    resolved_config,
     train,
 )
 from ofc.data import TOY_NEG_COUNT, TOY_NEG_MEAN, TOY_POS_COUNT, TOY_POS_MEAN, TOY_SIGMA
-from ofc.solver import _resolved
 
 OUT = Path(__file__).parent / "out"
 P, N = float(TOY_POS_COUNT), float(TOY_NEG_COUNT)
@@ -51,7 +51,7 @@ def run(kind):
     cfg = TrainConfig(init=init, reinit_every=300, max_iter=12000)
     if kind == "f_measure":
         # a tenth of the automatic step, sized on the energy train builds
-        energy = MeasureEnergy(pair, eps=_resolved(cfg, pair.grid).eps_h)
+        energy = MeasureEnergy(pair, eps=resolved_config(cfg, pair.grid).eps_h)
         cfg = replace(cfg, dt=auto_time_step(init_shape(pair.grid, init), energy, cfg) / 10)
     model, trace = train(pair, cfg, kind)
     (tau,) = frontier(model)

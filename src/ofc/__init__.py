@@ -13,7 +13,6 @@ Typical use::
 """
 
 from .classifier import (
-    PredictionResult,
     TrainedClassifier,
     densities_for,
     density_fingerprint,
@@ -22,7 +21,6 @@ from .classifier import (
     frontier_csv,
     load,
     predict,
-    predict_full,
     save,
 )
 from .data import (
@@ -48,8 +46,6 @@ from .field import (
     integrate,
     interpolate,
     laplacian,
-    read_field,
-    write_field,
     write_pgm,
 )
 from .harness import (
@@ -68,9 +64,7 @@ from .metrics import (
     MetricsReport,
     confusion_from_predictions,
     metrics_from_counts,
-    smoothed_confusion,
     smoothed_delta,
-    smoothed_heaviside,
 )
 from .solver import (
     EvolutionTrace,
@@ -78,6 +72,7 @@ from .solver import (
     auto_time_step,
     default_resolution,
     reinitialize,
+    resolved_config,
     step,
     train,
 )
@@ -94,8 +89,6 @@ __all__ = [
     "integrate",
     "interpolate",
     "laplacian",
-    "read_field",
-    "write_field",
     "write_pgm",
     # data
     "LabeledDataset",
@@ -118,10 +111,10 @@ __all__ = [
     "auto_time_step",
     "default_resolution",
     "reinitialize",
+    "resolved_config",
     "step",
     "train",
     # classifier
-    "PredictionResult",
     "TrainedClassifier",
     "densities_for",
     "density_fingerprint",
@@ -130,16 +123,13 @@ __all__ = [
     "frontier_csv",
     "load",
     "predict",
-    "predict_full",
     "save",
     # metrics
     "ConfusionCounts",
     "MetricsReport",
     "confusion_from_predictions",
     "metrics_from_counts",
-    "smoothed_confusion",
     "smoothed_delta",
-    "smoothed_heaviside",
     # baselines and experiments
     "ExperimentResult",
     "ExperimentSpec",

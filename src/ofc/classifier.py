@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +38,11 @@ from .field import (
 from .metrics import check_positive
 from .solver import (
     TrainConfig,
-    _resolved,
     config_from_text,
     config_to_text,
     default_resolution,
     has_sign_change,
+    resolved_config,
     train,
 )
 
@@ -116,20 +115,6 @@ def fit(
     model, trace = train(pair, cfg, measure)
     trace.phase_seconds = {"kde": kde_s, **trace.phase_seconds}
     return model, trace
-
-
-class PredictionResult(NamedTuple):
-    labels: np.ndarray  # bool, True = positive class
-    values: np.ndarray  # interpolated u
-    clamped: np.ndarray  # bool, True where the point fell outside the grid
-
-
-def predict_full(m: TrainedClassifier, points) -> PredictionResult:
-    """Labels plus decision values and an out-of-bounds flag per point."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    values = np.atleast_1d(interpolate(m.u, pts))
-    clamped = ((pts < m.grid.mins) | (pts > m.grid.maxs)).any(axis=1)
-    return PredictionResult(values >= 0, values, clamped)
 
 
 def predict(m: TrainedClassifier, points) -> np.ndarray:
@@ -329,7 +314,7 @@ def load(path) -> TrainedClassifier:
         # field's grid (as train resolves it), a k that training could have
         # set for the measure, a 0/1 flag
         check_measure(kv["kind"], config.descent)
-        _resolved(config, u.grid)
+        resolved_config(config, u.grid)
         k = None if kv["k"] == "none" else float(kv["k"])
         if (k is None) != (kv["kind"] == "accuracy"):
             raise ValueError(f"k={kv['k']} does not fit kind={kv['kind']}")

@@ -286,7 +286,7 @@ _TRAIN_HELP = {
     "reinit_every": "redistance the field every this many iterations",
     "max_iter": "stop after this many iterations",
     "resolution": "grid cells per axis (default: per-dimension choice)",
-    "seed": "recorded in the model's config",
+    "seed": "recorded in the model and the trace header; changes no result",
     "descent": "descent direction: energy derivative or the G surrogate",
 }
 

@@ -610,16 +610,6 @@ def field_from_text(text: str) -> ScalarField:
     return ScalarField(grid, vals.reshape(shape))
 
 
-def write_field(f: ScalarField, path):
-    with open(path, "w") as fh:
-        fh.write(field_to_text(f))
-
-
-def read_field(path) -> ScalarField:
-    with open(path) as fh:
-        return field_from_text(fh.read())
-
-
 def write_pgm(f: ScalarField, path):
     """8-bit ASCII graymap of a 1-D or 2-D field.
 

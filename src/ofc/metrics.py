@@ -1,13 +1,14 @@
-"""Confusion counts and classification measures.
+"""Confusion counts, classification measures and the smoothed impulse.
 
-Counts are real-valued: they come either from hard predictions or from
-density integrals against a smoothed step function, and the same measure
-formulas serve both.  The smoothed step H and impulse d are
+Counts are real-valued, so the same measure formulas serve hard
+predictions and the smoothed fractions of the energy
+(:meth:`ofc.energy.MeasureEnergy.evaluate` with ``return_fractions``).
+The smoothed impulse d is the derivative of the smoothed step H:
 
     H(y) = 1/2 * (1 + (2/pi) * arctan(y / eps))
     d(y) = (1/pi) * eps / (eps**2 + y**2)
 
-so H(y) + H(-y) == 1 exactly and d = H'.
+This module imports no other ``ofc`` module but :mod:`ofc.errors`.
 """
 from __future__ import annotations
 
@@ -15,18 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityPair
-from .errors import EmptyConfusionError, GridMismatchError
-from .field import ScalarField, integrate
-
-
-def smoothed_heaviside(y, eps: float):
-    """Smooth step rising from 0 to 1 over a width of roughly ``eps``."""
-    return 0.5 * (1.0 + (2.0 / np.pi) * np.arctan(np.asarray(y) / eps))
+from .errors import EmptyConfusionError
 
 
 def smoothed_delta(y, eps: float):
-    """Derivative of :func:`smoothed_heaviside`; even, mass 1, peak 1/(pi*eps)."""
+    """Derivative of the smoothed step H; even, mass 1, peak 1/(pi*eps)."""
     y = np.asarray(y)
     return (eps / np.pi) / (eps**2 + y**2)
 
@@ -116,24 +110,4 @@ def confusion_from_predictions(labels, predictions) -> ConfusionCounts:
         fp=float(np.sum(~labels & predictions)),
         fn=float(np.sum(labels & ~predictions)),
         tn=float(np.sum(~labels & ~predictions)),
-    )
-
-
-def smoothed_confusion(u: ScalarField, d: DensityPair, eps: float) -> ConfusionCounts:
-    """Count masses of the regions u > 0 / u < 0 under the class densities.
-
-    Uses the smoothed step, so tp + fn == p_count and fp + tn == n_count
-    hold to quadrature accuracy regardless of eps.
-    """
-    if u.grid != d.grid:
-        raise GridMismatchError("decision field and densities live on different grids")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    h_pos = smoothed_heaviside(u.values, eps)
-    h_neg = 1.0 - h_pos
-    return ConfusionCounts(
-        tp=d.p_count * integrate(u.with_values(h_pos * d.f_pos.values)),
-        fn=d.p_count * integrate(u.with_values(h_neg * d.f_pos.values)),
-        fp=d.n_count * integrate(u.with_values(h_pos * d.f_neg.values)),
-        tn=d.n_count * integrate(u.with_values(h_neg * d.f_neg.values)),
     )

@@ -51,8 +51,9 @@ the classifier is unchanged.
 
 TrainConfig has one text form, derived from its fields and annotations by
 :func:`config_to_text` and :func:`config_from_text`.  ``train`` alone fills
-in a run's defaults, once (``_resolved``, and dt in ``_start``), and builds
-its energy from them; its steps, trace header and model read that config.
+in a run's defaults, once (:func:`resolved_config`, and dt in
+``_start``), and builds its energy from them; its steps, trace header and
+model read that config.
 """
 from __future__ import annotations
 
@@ -117,11 +118,13 @@ class TrainConfig:
 
     dt, lam and eps_h default to None: :func:`train` resolves them once,
     from the grid (lam = 0.1 * max spacing squared, eps_h = 1.5 * max
-    spacing) and the initial descent (dt = 0.5 * min spacing / max
-    |descent|).  resolution=None picks the per-dimension default; a set one
-    must match the grid.  init=None starts from the exact minimizer of the
-    sign-pattern energy, redistanced, or from the default sphere lattice
-    when that minimizer takes every node or none.
+    spacing; see :func:`resolved_config`) and the initial descent (dt =
+    0.5 * min spacing / max |descent|).  resolution=None picks the
+    per-dimension default; a set one must match the grid.  init=None starts
+    from the exact minimizer of the sign-pattern energy, redistanced, or
+    from the default sphere lattice when that minimizer takes every node or
+    none.  seed is recorded in the model and the trace header and changes
+    no result: training draws no random numbers.
 
     A run stops at max_iter, after 5 consecutive updates below tol, or at
     the first redistancing whose field scores above the one before it on
@@ -263,10 +266,14 @@ class EvolutionTrace:
         return "\n".join(lines) + "\n"
 
 
-def _resolved(cfg: TrainConfig, grid) -> TrainConfig:
-    """cfg with unset eps_h and lam from the grid's largest spacing, and as
+def resolved_config(cfg: TrainConfig, grid) -> TrainConfig:
+    """The config :func:`train` runs on ``grid``, but for dt.
+
+    cfg with unset eps_h and lam from the grid's largest spacing, and as
     resolution the grid's cell count (None when its axes differ), which a
-    set resolution must equal (ValueError)."""
+    set resolution must equal (ValueError).  dt stays as set: train sizes
+    an unset one on its starting field (:func:`auto_time_step`).
+    """
     h, cells = max(grid.spacing), set(grid.resolution)
     res = cells.pop() if len(cells) == 1 else None
     if cfg.resolution not in (None, res):
@@ -310,7 +317,7 @@ def step(
     # mend, and the returned field is checked.
     w = _Unchecked(u.grid, u.values)
     change = e.descent_direction(w, cfg.descent, fractions).values
-    lam = cfg.lam if cfg.lam is not None else _resolved(cfg, u.grid).lam
+    lam = cfg.lam if cfg.lam is not None else resolved_config(cfg, u.grid).lam
     if lam != 0.0:
         diffusion = laplacian(w).values
         diffusion *= lam
@@ -507,7 +514,7 @@ def train(pair: DensityPair, cfg: TrainConfig = None, measure: str = "f_measure"
 
     if min(pair.grid.resolution) < _MIN_CELLS_PER_AXIS:
         raise ValueError(f"training needs at least {_MIN_CELLS_PER_AXIS} cells per axis")
-    cfg = _resolved(TrainConfig() if cfg is None else cfg, pair.grid)
+    cfg = resolved_config(TrainConfig() if cfg is None else cfg, pair.grid)
     e = MeasureEnergy(pair, eps=cfg.eps_h, kind=measure, beta=cfg.beta)
     snapshot = None  # the settings this run optimises, as steps, model and trace read them
     records: list[TraceRecord] = []

@@ -13,7 +13,6 @@ from ofc.errors import (
     VersionMismatchError,
 )
 from ofc.classifier import (
-    PredictionResult,
     TrainedClassifier,
     _marching_squares,
     _stitch,
@@ -24,10 +23,9 @@ from ofc.classifier import (
     frontier_csv,
     load,
     predict,
-    predict_full,
     save,
 )
-from ofc.field import Box, GridSpec, ScalarField, Sphere, SphereLattice, init_shape
+from ofc.field import Box, GridSpec, ScalarField, Sphere, SphereLattice, init_shape, interpolate
 from ofc.solver import TrainConfig, reinitialize, train
 
 
@@ -131,16 +129,6 @@ def test_predict_signs_and_tie_break():
     assert labels.tolist() == [False, True, True]
 
 
-def test_predict_full_flags_out_of_bounds_points():
-    model = line_model()
-    result = predict_full(model, [[0.0], [7.5], [-3.0]])
-    assert isinstance(result, PredictionResult)
-    assert result.clamped.tolist() == [False, True, True]
-    # clamped evaluation: u pinned to the nearest edge value
-    assert result.values[1] == pytest.approx(3.0)
-    assert result.labels.tolist() == [False, True, False]
-
-
 def test_predict_is_predict_full_labels():
     grid = GridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=33)
     mesh = grid.mesh()
@@ -150,9 +138,9 @@ def test_predict_is_predict_full_labels():
     pts = np.vstack([pts, [[-2.0, 2.0], [2.0, 0.0], [-3.0, 5.0], [0.0, -2.5]]])
     labels = predict(model, pts)
     assert labels.dtype == bool and labels.shape == (len(pts),)
-    np.testing.assert_array_equal(labels, predict_full(model, pts).labels)
+    np.testing.assert_array_equal(labels, interpolate(model.u, pts) >= 0)
     for p in ([0.5, 0.25], [2.5, -0.5], (0.0, 1.0)):
-        np.testing.assert_array_equal(predict(model, p), predict_full(model, p).labels)
+        np.testing.assert_array_equal(predict(model, p), interpolate(model.u, [p]) >= 0)
         assert predict(model, p).shape == (1,)
 
 

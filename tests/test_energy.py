@@ -12,12 +12,7 @@ from ofc import energy as energy_module
 from ofc.energy import MeasureEnergy
 from ofc.errors import VanishingPositiveMassError
 from ofc.field import GridSpec, ScalarField, integrate
-from ofc.metrics import (
-    metrics_from_counts,
-    smoothed_confusion,
-    smoothed_delta,
-    smoothed_heaviside,
-)
+from ofc.metrics import ConfusionCounts, metrics_from_counts, smoothed_delta
 from toy1d import BAYES_TAU, N_COUNT, P_COUNT, TOY_BOUNDS, normal_pdf, tail_counts, toy_pair
 
 
@@ -37,9 +32,14 @@ def test_energy_is_count_ratio_times_epsilon():
     u = ScalarField(pair.grid, np.sin(1.7 * x) + 0.2 * x - 0.5)
     for beta in (0.5, 1.0, 2.0):
         energy = MeasureEnergy(pair, eps=0.05, beta=beta)
-        eps_ratio = metrics_from_counts(
-            smoothed_confusion(u, pair, eps=0.05), beta=beta
-        ).epsilon
+        (a, b, c), _, _ = textbook(energy, u)
+        counts = ConfusionCounts(
+            tp=pair.p_count * a,
+            fn=pair.p_count * b,
+            fp=pair.n_count * c,
+            tn=pair.n_count * (integrate(pair.f_neg) - c),
+        )
+        eps_ratio = metrics_from_counts(counts, beta=beta).epsilon
         assert (N_COUNT / P_COUNT) * energy.evaluate(u) == pytest.approx(
             eps_ratio, rel=1e-12
         )
@@ -217,7 +217,7 @@ def textbook(energy, u):
     """(A, B, C), gradient and "G" direction from H and its impulse under `integrate`."""
     pair, eps = energy.pair, energy.eps
     fp, fn = pair.f_pos.values, pair.f_neg.values
-    h = smoothed_heaviside(u.values, eps)
+    h = 0.5 * (1.0 + (2.0 / np.pi) * np.arctan(np.asarray(u.values) / eps))
     delta = smoothed_delta(u.values, eps)
     a = integrate(u.with_values(h * fp))
     b = integrate(u.with_values((1.0 - h) * fp))

@@ -2,39 +2,20 @@
 import numpy as np
 import pytest
 
-from ofc.errors import EmptyConfusionError, GridMismatchError
-from ofc.field import GridSpec, ScalarField
+from ofc.errors import EmptyConfusionError
 from ofc.metrics import (
     ConfusionCounts,
-    MetricsReport,
     confusion_from_predictions,
     metrics_from_counts,
-    smoothed_confusion,
     smoothed_delta,
-    smoothed_heaviside,
 )
-from toy1d import N_COUNT, P_COUNT, tail_counts, toy_pair
-
-def test_heaviside_partition_exact():
-    y = np.linspace(-40.0, 40.0, 1001)
-    h = smoothed_heaviside(y, eps=0.3)
-    np.testing.assert_array_equal(h + smoothed_heaviside(-y, eps=0.3), np.ones_like(y))
-    assert smoothed_heaviside(0.0, eps=0.3) == 0.5
-    # Python scalars in, 0-d results out, equal to the array path
-    assert smoothed_heaviside(0.3, eps=0.3) == pytest.approx(0.75)
-    assert np.ndim(smoothed_heaviside(1.5, eps=0.3)) == 0
-    assert smoothed_heaviside(1.5, eps=0.3) == smoothed_heaviside(np.array([1.5]), eps=0.3)[0]
-
-
-def test_heaviside_limits():
-    assert smoothed_heaviside(100.0, eps=0.01) > 0.999
-    assert smoothed_heaviside(-100.0, eps=0.01) < 0.001
 
 
 def test_delta_is_derivative_of_heaviside():
     y = np.linspace(-3.0, 3.0, 61)
     eps, h = 0.7, 1e-6
-    fd = (smoothed_heaviside(y + h, eps) - smoothed_heaviside(y - h, eps)) / (2 * h)
+    step = lambda v: 0.5 * (1.0 + (2.0 / np.pi) * np.arctan(np.asarray(v) / eps))
+    fd = (step(y + h) - step(y - h)) / (2 * h)
     np.testing.assert_allclose(smoothed_delta(y, eps), fd, rtol=1e-6)
 
 
@@ -127,47 +108,3 @@ def test_confusion_from_predictions():
     with pytest.raises(ValueError):
         confusion_from_predictions(labels, preds[:-1])
 
-
-# the toy's bounds widened to hold both classes' tails
-WIDE = ((-4.0, 8.0),)
-
-
-def test_smoothed_confusion_partition_identities():
-    pair = toy_pair(1536, bounds=WIDE)
-    grid = pair.grid
-    x = grid.axes()[0]
-    u = ScalarField(grid, np.sin(x))  # multiple crossings
-    c = smoothed_confusion(u, pair, eps=0.2)
-    mass_pos = P_COUNT * np.trapezoid(pair.f_pos.values, x)
-    mass_neg = N_COUNT * np.trapezoid(pair.f_neg.values, x)
-    assert c.tp + c.fn == pytest.approx(mass_pos, rel=1e-12)
-    assert c.fp + c.tn == pytest.approx(mass_neg, rel=1e-12)
-
-
-def test_smoothed_confusion_matches_analytic_tails():
-    pair = toy_pair(1536, bounds=WIDE)
-    tau = 3.956
-    u = ScalarField(pair.grid, pair.grid.axes()[0] - tau)
-    # eps well under the grid spacing: the arctan step has heavy tails, and
-    # its bias on the counts is linear in eps.
-    m = metrics_from_counts(smoothed_confusion(u, pair, eps=0.001))
-    # Oracle: exact Gaussian tail masses on either side of tau.
-    tp, _, _, tn = tail_counts(tau)
-    acc = (tp + tn) / (P_COUNT + N_COUNT)
-    assert m.accuracy == pytest.approx(acc, abs=1e-3)
-    assert m.recall == pytest.approx(tp / P_COUNT, abs=2e-3)
-
-
-def test_smoothed_confusion_grid_mismatch():
-    pair = toy_pair(64, bounds=WIDE)
-    grid_b = GridSpec(bounds=WIDE, resolution=65)
-    u = ScalarField(grid_b, np.zeros(grid_b.shape))
-    with pytest.raises(GridMismatchError):
-        smoothed_confusion(u, pair, eps=0.1)
-
-
-def test_smoothed_confusion_bad_eps():
-    pair = toy_pair(64, bounds=WIDE)
-    u = ScalarField(pair.grid, np.zeros(pair.grid.shape))
-    with pytest.raises(ValueError):
-        smoothed_confusion(u, pair, eps=0.0)

@@ -98,19 +98,19 @@ def test_default_resolution_by_dimension():
 def test_resolved_defaults_come_from_the_grid():
     grid = GridSpec(bounds=TOY_BOUNDS, resolution=100)
     h = max(grid.spacing)
-    cfg = solver._resolved(TrainConfig(), grid)
+    cfg = solver.resolved_config(TrainConfig(), grid)
     assert cfg.lam == pytest.approx(0.1 * h * h)
     assert cfg.eps_h == pytest.approx(1.5 * h)
     assert cfg.resolution == 100 and cfg.dt is None
-    assert solver._resolved(TrainConfig(lam=0.7), grid).lam == 0.7
-    assert solver._resolved(TrainConfig(lam=0.0), grid).lam == 0.0
-    assert solver._resolved(TrainConfig(eps_h=0.3), grid).eps_h == 0.3
-    assert solver._resolved(TrainConfig(resolution=100), grid).resolution == 100
+    assert solver.resolved_config(TrainConfig(lam=0.7), grid).lam == 0.7
+    assert solver.resolved_config(TrainConfig(lam=0.0), grid).lam == 0.0
+    assert solver.resolved_config(TrainConfig(eps_h=0.3), grid).eps_h == 0.3
+    assert solver.resolved_config(TrainConfig(resolution=100), grid).resolution == 100
     # a grid whose axes differ has no one cell count to record or to match
     uneven = GridSpec(bounds=TOY_BOUNDS * 2, resolution=(8, 16))
-    assert solver._resolved(TrainConfig(), uneven).resolution is None
+    assert solver.resolved_config(TrainConfig(), uneven).resolution is None
     with pytest.raises(ValueError, match=r"resolution 8 .* cells per axis \(8, 16\)"):
-        solver._resolved(TrainConfig(resolution=8), uneven)
+        solver.resolved_config(TrainConfig(resolution=8), uneven)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from ofc.data import TOY_NEG_COUNT, TOY_NEG_MEAN, TOY_POS_COUNT, TOY_POS_MEAN, T
 from ofc.density import DensityPair
 from ofc.energy import MeasureEnergy
 from ofc.field import Box, GridSpec, ScalarField, init_shape
-from ofc.solver import EvolutionTrace, TrainConfig, _resolved, auto_time_step
+from ofc.solver import EvolutionTrace, TrainConfig, auto_time_step, resolved_config
 
 P_COUNT, N_COUNT = float(TOY_POS_COUNT), float(TOY_NEG_COUNT)
 TOY_BOUNDS = ((-2.0, 6.0),)
@@ -66,7 +66,7 @@ def toy_accuracy(tau):
 
 def train_energy(pair: DensityPair) -> MeasureEnergy:
     """The F1 energy that train builds for pair, on the eps it resolves."""
-    return MeasureEnergy(pair, eps=_resolved(TrainConfig(), pair.grid).eps_h)
+    return MeasureEnergy(pair, eps=resolved_config(TrainConfig(), pair.grid).eps_h)
 
 
 def cold_dt(pair: DensityPair, u: ScalarField = None, n: int = 10) -> float:
