@@ -283,7 +283,8 @@ _TRAIN_HELP = {
     "lam": "smoothing weight (default: 0.1 * max spacing^2, set once per run from the grid)",
     "eps_h": "step smoothing width (default: 1.5 * max spacing, set once per run from the grid)",
     "tol": "stop when the max nodal update falls below this",
-    "reinit_every": "redistance the field every this many iterations",
+    "reinit_every": "redistance and score the field every this many iterations; a run "
+                    "from the grid optimum stops at the first, after this many steps",
     "max_iter": "stop after this many iterations",
     "resolution": "grid cells per axis (default: per-dimension choice)",
     "seed": "recorded in the model and the trace header; changes no result",

@@ -406,7 +406,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     outcomes = [p for p in produced if isinstance(p, FoldOutcome)]
     failures = [p for p in produced if isinstance(p, CellFailure)]
     logger.info(
-        "experiment: %d cells in %.1fs (%d failed)",
+        "experiment: %d cells in %.3gs (%d failed)",
         len(produced), time.monotonic() - started, len(failures),
     )
     return ExperimentResult(spec=spec, outcomes=outcomes, failures=failures)

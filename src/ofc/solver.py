@@ -130,9 +130,11 @@ class TrainConfig:
     the first redistancing whose field scores above the one before it on
     the sign-pattern energy, the start counting as the first.  reinit_every
     is therefore also the period of that check.  A run from the optimum
-    ends at its first redistancing (unless that ties with the start), so
-    for it reinit_every is the length of the flow and max_iter only binds
-    below it.
+    ends at its first redistancing (unless that ties with the start), so it
+    takes exactly reinit_every steps: reinit_every is the length of its
+    flow, and max_iter only binds below it.  The default of 10 follows from
+    dt, which lets the fastest node move half a cell per step: 10 steps
+    refine the optimum's front by at most 5 cells.
     """
 
     beta: float = 1.0
@@ -140,7 +142,7 @@ class TrainConfig:
     lam: float = None  # type: ignore[assignment]
     eps_h: float = None  # type: ignore[assignment]
     tol: float = 1e-5
-    reinit_every: int = 50
+    reinit_every: int = 10
     max_iter: int = 2000
     resolution: int = None  # type: ignore[assignment]
     init: InitShape = None  # type: ignore[assignment]

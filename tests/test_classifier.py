@@ -481,17 +481,20 @@ GOLDEN_V1 = {
         dt=1.0231411477022, lam=_LAM, eps_h=_EPS, reinit_every=5, max_iter=20,
         resolution=16)),
     "sphere": ("f_measure", TrainConfig(
-        beta=2.0, dt=0.39784097682226927, lam=_LAM, eps_h=_EPS, max_iter=20,
-        resolution=16, init=Sphere(center=(1.2896599559483888,), radius=1.768929305529858),
+        beta=2.0, dt=0.39784097682226927, lam=_LAM, eps_h=_EPS, reinit_every=50,
+        max_iter=20, resolution=16,
+        init=Sphere(center=(1.2896599559483888,), radius=1.768929305529858),
         seed=4, descent="G")),
     "box": ("f_measure", TrainConfig(
-        dt=0.001, lam=0.0, eps_h=_EPS, tol=1e-4, max_iter=20, resolution=16,
-        init=Box(lo=(-2.2481986551113273,), hi=(1.2896599559483888,)))),
+        dt=0.001, lam=0.0, eps_h=_EPS, tol=1e-4, reinit_every=50, max_iter=20,
+        resolution=16, init=Box(lo=(-2.2481986551113273,), hi=(1.2896599559483888,)))),
     "lattice": ("f_measure", TrainConfig(
-        beta=0.5, dt=1.0317708320581054, lam=_LAM, eps_h=0.75, max_iter=20, resolution=16,
+        beta=0.5, dt=1.0317708320581054, lam=_LAM, eps_h=0.75, reinit_every=50,
+        max_iter=20, resolution=16,
         init=SphereLattice(period=(1.768929305529858,), radius=0.5, offset=(0.125,)))),
     "accuracy": ("accuracy", TrainConfig(
-        dt=0.0035257068060467337, lam=_LAM, eps_h=_EPS, max_iter=20, resolution=16)),
+        dt=0.0035257068060467337, lam=_LAM, eps_h=_EPS, reinit_every=50, max_iter=20,
+        resolution=16)),
 }
 
 

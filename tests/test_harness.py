@@ -1,7 +1,10 @@
 """Baselines, the threshold sweep oracle, and the experiment driver."""
+import logging
 import os
+import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +16,7 @@ from scipy.optimize import brentq
 import ofc.classifier
 import ofc.density
 import ofc.harness
-from ofc.data import LabeledDataset, gen_toy1d, kfold
+from ofc.data import LabeledDataset, gen_db, gen_toy1d, kfold
 from ofc.errors import DegenerateDataError, DimensionError
 from ofc.harness import (
     ExperimentSpec,
@@ -333,6 +336,24 @@ def test_experiment_records_failures_without_aborting():
     assert len(result.failures) == 2  # one per fold
     assert all("DegenerateDataError" in f.message for f in result.failures)
     assert [r.classifier for r in result.summary()] == ["oracle"]
+
+
+def test_experiment_logs_its_wall_time_to_three_digits(caplog):
+    # a run of a few tens of milliseconds must not log "in 0.0s"
+    data = gen_db(4, seed=0)
+    spec = ExperimentSpec(
+        data=data.subset(np.arange(0, len(data.labels), 5)), repetitions=1, folds=2,
+        ofc=TrainConfig(resolution=16),
+    )
+    with caplog.at_level(logging.INFO, logger="ofc.harness"):
+        started = time.monotonic()
+        run_experiment(spec)
+        elapsed = time.monotonic() - started
+    [message] = [r.getMessage() for r in caplog.records if r.name == "ofc.harness"]
+    logged = re.fullmatch(r"experiment: 4 cells in (\S+)s \(0 failed\)", message)
+    # the logged time lies within the measured one, up to its rounding to
+    # three digits (at most 0.5 %)
+    assert logged and 0.5 * elapsed < float(logged[1]) <= 1.005 * elapsed
 
 
 def test_experiment_spec_refuses_the_oracle_on_multi_feature_data():

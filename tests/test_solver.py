@@ -803,7 +803,7 @@ def test_energy_ascent_flags_a_rebound(monkeypatch):
     from ofc.data import gen_db
 
     scores = _spy_scores(monkeypatch)
-    cfg = TrainConfig(resolution=64, max_iter=400, init=SphereLattice())
+    cfg = TrainConfig(resolution=64, max_iter=400, reinit_every=50, init=SphereLattice())
     _, trace = fit(gen_db(2, seed=0), cfg)
     assert trace.status == "converged"
     assert len(trace.records) < 400
@@ -853,7 +853,7 @@ def test_returned_field_scores_lowest_of_every_checkpoint(db, monkeypatch):
 
     data = gen_db(db, seed=0)
     scores = _spy_scores(monkeypatch)
-    cfg = TrainConfig(resolution=32, max_iter=400, init=SphereLattice())
+    cfg = TrainConfig(resolution=32, max_iter=400, reinit_every=50, init=SphereLattice())
     model, trace = fit(data, cfg)
     assert trace.status == "converged" and len(trace.records) == 100
     assert len(scores) >= 3
@@ -865,21 +865,22 @@ def test_returned_field_scores_lowest_of_every_checkpoint(db, monkeypatch):
     assert energy.sign_pattern_energy(model.u) == trace.sign_pattern_energy
 
 
-def test_a_run_from_the_optimum_ends_at_its_first_checkpoint():
+@pytest.mark.parametrize("db", [1, 2, 3, 4])
+def test_a_run_from_the_optimum_ends_at_its_first_checkpoint(db):
     # the start scores lowest, so the first checkpoint is the first above
     # the one before it, and it is returned: the start never is
     from ofc.classifier import fit
     from ofc.data import gen_db
 
-    _, trace = fit(gen_db(2, seed=0), TrainConfig(resolution=64, max_iter=400))
-    assert len(trace.records) == trace.best_iteration == 50
+    _, trace = fit(gen_db(db, seed=0), TrainConfig(resolution=64, max_iter=400))
+    assert len(trace.records) == trace.best_iteration == TrainConfig().reinit_every
     assert trace.status == "converged"
     assert not trace.energy_ascent
 
 
 def test_a_cv_sized_run_from_the_optimum_ends_at_its_first_checkpoint():
-    # a run whose later checkpoints keep falling below iteration 50's; from
-    # the optimum it still ends at 50
+    # a run whose second checkpoint scores below its first; from the
+    # optimum it still ends at its first
     from ofc.classifier import fit
     from ofc.data import gen_db, kfold
 
@@ -887,7 +888,7 @@ def test_a_cv_sized_run_from_the_optimum_ends_at_its_first_checkpoint():
     train_idx, _ = kfold(data, 3, seed=4)[0]
     cfg = TrainConfig(resolution=32, max_iter=200, beta=1.0)
     _, trace = fit(data.subset(train_idx), cfg)
-    assert len(trace.records) == trace.best_iteration == 50
+    assert len(trace.records) == trace.best_iteration == TrainConfig().reinit_every
     assert trace.status == "converged"
 
 
