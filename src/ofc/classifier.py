@@ -234,7 +234,7 @@ def _stitch(ends) -> list:
               for point, segs in enumerate(touching)
               if len(segs) == 1 and not used[segs[0]]]
     chains += [walk(2 * k) for k in range(len(used)) if not used[k]]
-    return [points[chain] for chain in chains]
+    return [np.take(points, chain, axis=0) for chain in chains]
 
 
 def _edge_midpoints(u: ScalarField) -> np.ndarray:

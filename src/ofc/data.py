@@ -17,6 +17,16 @@ id  positive class                                             sizes (+/-)
 Database 2 uses unit-variance modes on alternating sites of a 3x2 lattice
 with spacing 3; its negative class is the three remaining sites instead of
 the shared origin Gaussian.
+
+Points are ``(n, d)`` arrays: n is large and d small.  numpy walks such an
+array one d-element row at a time in a reduction over axis 0, a boolean or
+integer index along axis 0, and elementwise work against a ``(d,)`` row, at
+several times the cost of the same work on whole columns.  So the library
+selects rows with ``np.compress`` and ``np.take``, and does per-feature
+reductions and elementwise work on the contiguous ``(d, n)`` columns
+``np.ascontiguousarray(points.T)``, where a sum over one column is also a
+pairwise sum.  For d = 1 the columns are a view of the points, so code that
+writes to them copies them first.
 """
 from __future__ import annotations
 
@@ -83,18 +93,22 @@ class LabeledDataset:
         return int(len(self.labels) - self.labels.sum())
 
     def positives(self) -> np.ndarray:
-        return self.points[self.labels]
+        return np.compress(self.labels, self.points, axis=0)
 
     def negatives(self) -> np.ndarray:
-        return self.points[~self.labels]
+        return np.compress(~self.labels, self.points, axis=0)
 
     def subset(self, idx) -> "LabeledDataset":
-        return LabeledDataset(self.points[idx], self.labels[idx])
+        """The points and labels that ``idx`` selects as an index of the labels."""
+        # the row numbers numpy's indexing selects: a mask becomes its True
+        # rows, which np.take would read as the indices 0 and 1
+        rows = np.arange(len(self.labels))[idx]
+        return LabeledDataset(np.take(self.points, rows, axis=0), self.labels[rows])
 
 
 def _shuffled(points, labels, rng) -> LabeledDataset:
     order = rng.permutation(len(labels))
-    return LabeledDataset(points[order], labels[order])
+    return LabeledDataset(np.take(points, order, axis=0), labels[order])
 
 
 def gen_toy1d(seed: int = 0) -> LabeledDataset:

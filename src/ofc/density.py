@@ -77,7 +77,7 @@ def fit_kde(samples: np.ndarray, bandwidth=None) -> KdeModel:
         raise DegenerateDataError("KDE samples must be finite")
     m, d = pts.shape
     if bandwidth is None:
-        sigma = pts.std(axis=0, ddof=1)
+        sigma = np.ascontiguousarray(pts.T).std(axis=1, ddof=1)
         if (sigma == 0).any():
             raise DegenerateDataError(
                 "zero variance along an axis; pass an explicit bandwidth"

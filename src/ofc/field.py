@@ -132,10 +132,9 @@ class GridSpec:
     def from_points(cls, points: np.ndarray, resolution) -> "GridSpec":
         """Bounding box of ``points`` expanded by a tenth of the range per side."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        # one column at a time: numpy reduces a tall (n, d) array over axis 0
-        # row by row, at several times the cost
-        lo = np.array([col.min() for col in pts.T])
-        hi = np.array([col.max() for col in pts.T])
+        # per-feature columns, by the column rule in ofc.data's docstring
+        cols = np.ascontiguousarray(pts.T)
+        lo, hi = cols.min(axis=1), cols.max(axis=1)
         width = hi - lo
         # a constant feature still needs a usable axis
         pad = np.where(width > 0, _MARGIN * width, np.maximum(1.0, np.abs(lo)) * _MARGIN)
@@ -215,11 +214,15 @@ def interpolate(f: ScalarField, points):
         raise DimensionError(f"points have {pts.shape[1]} coords, grid has {grid.dim}")
     if not np.isfinite(pts).all():
         raise NonFiniteError("query points must be finite")
-    lo = grid.mins
-    pts = np.clip(pts, lo, grid.maxs)
+    # columns in cell units: a copy, since they are rescaled in place
+    cols = np.array(pts.T, order="C")
+    for col, lo, hi, h in zip(cols, grid.mins, grid.maxs, grid.spacing):
+        np.clip(col, lo, hi, out=col)
+        col -= lo
+        col /= h
     vals = f.values.ravel()
     out = np.zeros(len(pts))
-    for index, weight in _cell_corners(((pts - lo) / np.asarray(grid.spacing)).T, grid.shape):
+    for index, weight in _cell_corners(cols, grid.shape):
         out += weight * vals[index]
     return float(out[0]) if single else out
 

@@ -65,8 +65,8 @@ def naive_bayes_fit(data: LabeledDataset) -> NaiveBayesModel:
             f"{len(pos)} positive and {len(neg)} negative"
         )
     stats = [
-        (pts.mean(axis=0), np.maximum(pts.var(axis=0), _NB_VAR_FLOOR))
-        for pts in (pos, neg)
+        (cols.mean(axis=1), np.maximum(cols.var(axis=1), _NB_VAR_FLOOR))
+        for cols in (np.ascontiguousarray(pos.T), np.ascontiguousarray(neg.T))
     ]
     return NaiveBayesModel(
         pos_mean=stats[0][0],
@@ -80,11 +80,22 @@ def naive_bayes_fit(data: LabeledDataset) -> NaiveBayesModel:
 def naive_bayes_decision(m: NaiveBayesModel, points) -> np.ndarray:
     """Log-posterior difference log P(+|x) - log P(-|x) per point."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != len(m.pos_mean):
+        raise DimensionError(
+            f"points have {pts.shape[1]} features, the model has {len(m.pos_mean)}"
+        )
+    cols = np.ascontiguousarray(pts.T)
 
     def log_like(mean, var):
-        return -0.5 * (
-            np.log(2.0 * np.pi * var) + (pts - mean) ** 2 / var
-        ).sum(axis=1)
+        # the terms of the row-wise formula, summed over features in order
+        total = np.zeros(len(pts))
+        for col, mu, v, log_v in zip(cols, mean, var, np.log(2.0 * np.pi * var)):
+            term = col - mu
+            term *= term
+            term /= v
+            term += log_v
+            total += term
+        return -0.5 * total
 
     return (
         m.log_prior_ratio

@@ -90,15 +90,18 @@ _MAX_DT_HALVINGS = 80
 _MIN_CELLS_PER_AXIS = 4
 # reinitialize searches a grid of up to this many (nodes x seeds) pairs as
 # one tile and splits a larger one into tiles.  Below it tiles do not pay:
-# one tile takes 0.71 ms and tiles 1.09 ms on cv-sized 33^2 fields.  Median
-# ms of one whole tiled call on 2 cores:
-#   2-D 129^2, sine field,         1,293 seeds:   11
-#   2-D 257^2, sine field,         2,591 seeds:   44
-#   1-D 20,001 nodes, sine field,  2,062 seeds:    7.0
-#   3-D  33^3, fit3d torus field,    844 seeds:   42
-#   3-D  65^3, default lattice,   31,232 seeds:  723
-#   3-D  65^3, torus data field,  24,241 seeds:  643
-_EXACT_MAX_PAIRS = 1 << 24
+# on the 65^2 fields of default fits (0.9-1.7M pairs) one tile takes
+# 1.3-2.2 ms and tiles 1.6-2.9 ms.  Above it they do: on the 129^2 fields of
+# default fits (7.1-13.7M pairs) one tile takes 7.2-14.0 ms and tiles
+# 5.7-8.4 ms, with the same output.  Median ms of one call on 2 cores, one
+# tile / tiled:
+#   2-D 129^2, sin(4x) + cos(3y),   1,293 seeds:   21 / 7.2
+#   2-D 257^2, same field,          2,591 seeds:  132 / 28
+#   1-D 20,001 nodes, sine field,   1,274 seeds:   15 / 3.3
+#   3-D  33^3, fit3d field,         4,202 seeds:  121 / 39
+#   3-D  65^3, default lattice,    31,232 seeds:    - / 493
+#   3-D  65^3, fit3d data field,   19,665 seeds:    - / 477
+_EXACT_MAX_PAIRS = 1 << 22
 # elements of the (nodes x feet) product formed at a time
 _EXACT_CHUNK = 1 << 16
 # nodes per tile above _EXACT_MAX_PAIRS, and the relative slack on the
@@ -406,7 +409,7 @@ def _tiles(axes: list, feet: np.ndarray):
         keep = row_near <= ub * (1 + _TILE_SLACK)
         box = tuple(slice(e[i], e[i + 1]) for e, i in zip(edges, lead))
         for j, run in enumerate(zip(edges[-1][:-1], edges[-1][1:])):
-            yield box + (slice(*run),), feet[keep[j]]
+            yield box + (slice(*run),), np.compress(keep[j], feet, axis=0)
 
 
 def _plane_feet(values: np.ndarray, spacing, coords: np.ndarray):
@@ -454,7 +457,7 @@ def reinitialize(u: ScalarField) -> ScalarField:
         rows = np.ones((np.count_nonzero(todo), u.grid.dim + 1))
         points = rows[:, :-1]
         np.subtract(coords[(slice(None),) + box][:, todo].T, centre, out=points)
-        gap = points - near[_nearest_feet(rows, near)]
+        gap = points - np.take(near, _nearest_feet(rows, near), axis=0)
         dist[box][todo] = np.sqrt(np.einsum("ij,ij->i", gap, gap))
     np.negative(dist, out=dist, where=u.values < 0)
     return u.with_values(dist)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ofc.data import (
     LabeledDataset,
@@ -56,6 +57,51 @@ class TestGenerators:
     def test_unknown_db(self):
         with pytest.raises(InvalidDatabaseError):
             gen_db(7)
+
+
+def _laid_out(points, layout):
+    """``points`` with the same values, C-ordered, F-ordered or strided."""
+    if layout == "C":
+        return np.ascontiguousarray(points)
+    if layout == "F":
+        return np.asfortranarray(points)
+    spread = np.zeros((2 * len(points), 2 * points.shape[1]))
+    spread[::2, ::2] = points
+    return spread[::2, ::2]
+
+
+class TestRowSelection:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        d=st.sampled_from([1, 2, 3]),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_numpy_indexing_byte_for_byte(self, n, d, layout, seed):
+        rng = np.random.default_rng(seed)
+        points = _laid_out(rng.normal(size=(n, d)), layout)
+        data = LabeledDataset(points, rng.random(n) < 0.5)
+        assert data.points is points  # the layout reaches the selection
+        pts, labels = data.points, data.labels
+        pairs = [(data.positives(), pts[labels]), (data.negatives(), pts[~labels])]
+        indices = rng.integers(-n, n, size=rng.integers(0, 2 * n))
+        mask = rng.random(n) < 0.5
+        for idx in (indices, mask):
+            part = data.subset(idx)
+            pairs += [(part.points, pts[idx]), (part.labels, labels[idx])]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_subset_refuses_what_numpy_indexing_refuses(self):
+        data = gen_db(1, seed=0).subset(np.arange(10))
+        for idx in (np.ones(9, dtype=bool), np.ones(11, dtype=bool), np.array([10]),
+                    np.array([-11])):
+            with pytest.raises(IndexError):
+                data.points[idx]
+            with pytest.raises(IndexError):
+                data.subset(idx)
 
 
 class TestKfold:

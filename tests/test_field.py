@@ -159,8 +159,22 @@ class TestInterpolate:
         # outside on every side, to be clamped onto the boundary
         width = hi - lo
         outside = rng.uniform(lo - 2 * width, hi + 2 * width, (500, dim))
-        for pts in (inside, upper, nodes, outside, np.vstack([lo - 1.0, hi + 1.0])):
+        strided = np.repeat(outside, 2, axis=0)[::2]
+        for pts in (inside, upper, nodes, outside, np.vstack([lo - 1.0, hi + 1.0]),
+                    np.asfortranarray(outside), strided):
             assert interpolate(f, pts).tobytes() == reference_interpolate(f, pts).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_leaves_the_query_points_unchanged(self, dim, order):
+        rng = np.random.default_rng(dim)
+        g = GridSpec(((0.0, 1.0),) * dim, 4)
+        f = ScalarField(g, rng.normal(size=g.shape))
+        # mostly outside the grid, so that clamping moves them
+        pts = np.asarray(rng.uniform(-2.0, 3.0, (50, dim)), order=order)
+        before = pts.copy()
+        interpolate(f, pts)
+        assert pts.tobytes() == before.tobytes()
 
     def test_bilinear_unit_cell(self):
         g = GridSpec(((0.0, 1.0), (0.0, 1.0)), (1, 1))

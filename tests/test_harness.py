@@ -104,6 +104,43 @@ def test_naive_bayes_zero_variance_guard():
     assert np.isfinite(naive_bayes_decision(model, pts)).all()
 
 
+def reference_nb_decision(model, points):
+    """naive_bayes_decision by the row-wise formula over (n, d) points."""
+    pts = np.atleast_2d(points)
+
+    def log_like(mean, var):
+        return -0.5 * (np.log(2.0 * np.pi * var) + (pts - mean) ** 2 / var).sum(axis=1)
+
+    return (model.log_prior_ratio + log_like(model.pos_mean, model.pos_var)
+            - log_like(model.neg_mean, model.neg_var))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_naive_bayes_matches_the_row_wise_formulas(dim):
+    rng = np.random.default_rng(dim)
+    scale = rng.uniform(0.1, 10.0, dim)
+    pts = rng.normal(size=(3000, dim)) * scale
+    data = LabeledDataset(pts, rng.random(3000) < 0.2 + 0.6 * (pts[:, 0] > 0))
+    model = naive_bayes_fit(data)
+    for cls, mean, var in ((data.positives(), model.pos_mean, model.pos_var),
+                           (data.negatives(), model.neg_mean, model.neg_var)):
+        # the sums run in another order, so the moments agree to rounding
+        np.testing.assert_allclose(mean, cls.mean(axis=0), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(var, cls.var(axis=0), rtol=1e-12)
+    queries = rng.normal(size=(500, dim)) * 3.0 * scale
+    for q in (queries, np.asfortranarray(queries), np.repeat(queries, 2, axis=0)[::2]):
+        before = q.copy()
+        assert naive_bayes_decision(model, q).tobytes() == reference_nb_decision(model, q).tobytes()
+        assert q.tobytes() == before.tobytes()
+
+
+def test_naive_bayes_refuses_points_of_another_width():
+    model = naive_bayes_fit(gen_db(4).subset(np.arange(0, 11000, 20)))
+    for width in (1, 3):
+        with pytest.raises(DimensionError, match=f"points have {width} features"):
+            naive_bayes_decision(model, np.zeros((4, width)))
+
+
 def test_naive_bayes_needs_two_samples_per_class():
     data = LabeledDataset(np.array([[0.0], [1.0], [2.0]]), np.array([True, False, False]))
     with pytest.raises(DegenerateDataError):
