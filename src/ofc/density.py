@@ -52,16 +52,19 @@ class KdeModel:
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
         bw = np.asarray(self.bandwidth, dtype=float)
         self.bandwidth = np.broadcast_to(bw, (self.dim,)).copy()
-        # the lattice takes bw**2, so the square must be finite as well
-        if not ((self.bandwidth > 0) & (self.bandwidth <= _MAX_BANDWIDTH)).all():
-            raise DegenerateDataError(
-                f"bandwidth must be positive and finite, with a finite square; "
-                f"got {self.bandwidth}"
-            )
+        _check_bandwidth(self.bandwidth, DegenerateDataError)
 
     @property
     def dim(self) -> int:
         return self.samples.shape[1]
+
+
+def _check_bandwidth(bandwidth, error=ValueError) -> None:
+    """Raise ``error`` unless every bandwidth is positive and finite, with a
+    finite square: the lattice takes bw**2."""
+    bw = np.asarray(bandwidth, dtype=float)
+    if not ((bw > 0) & (bw <= _MAX_BANDWIDTH)).all():
+        raise error(f"bandwidth must be positive and finite, with a finite square; got {bw}")
 
 
 def fit_kde(samples: np.ndarray, bandwidth=None) -> KdeModel:

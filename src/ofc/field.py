@@ -10,22 +10,10 @@ node index and the weight; :func:`interpolate` gathers node values through
 it, and the KDE's linear binning (:mod:`ofc.density`) scatters sample
 weights through it.
 
-The Laplacian runs on every training step, on grids small enough that
-each whole-array numpy call costs about as much as the arithmetic in it.
-It takes one of two paths, chosen by the grid shape alone:
-
-- on small grids (every axis at most 65 nodes, at most 2**14 nodes in
-  all), one BLAS product per axis with a cached (n x n) second-difference
-  matrix whose end rows hold the mirrored ghost node.  The product does
-  n times the arithmetic of a stencil, but it is one call per axis, and at
-  these sizes the calls cost more than the arithmetic;
-- on larger grids, a sliced stencil: the centre term, then per axis one
-  sum of the two neighbour slices and one correction of the two end rows,
-  with the weights and index tuples cached per grid shape and spacing.
-  Its cost grows with the nodes alone, so it wins once an axis is long.
-
-The last axis multiplies its matrix from the right, so that matrix is
-stored transposed, and BLAS reads it contiguously.
+The Laplacian, run on every training step, gathers each node's two
+neighbours per axis through one cached index table per grid shape and
+weights them in one product, a fixed three calls whose cost grows with the
+nodes alone, so no grid size needs a kernel of its own.
 
 Every field's values are checked to be finite.  The check first takes the
 dot product of the values with themselves, one BLAS call: a finite result
@@ -257,100 +245,42 @@ def laplacian(f: ScalarField) -> ScalarField:
     Each node gets ``-2 * sum(h**-2) * v`` plus, per axis, ``h**-2`` times
     the sum of its two neighbours along that axis.  A mirrored ghost node
     equals the end node's inner neighbour, so the end rows count that
-    neighbour twice.  Small grids take one matrix product per axis, larger
-    ones the sliced stencil (see the module docstring).
+    neighbour twice.
     """
     grid = f.grid
     if min(grid.shape) < 3:
         raise ValueError("laplacian needs at least 3 nodes per axis")
     v = f.values
-    shape = grid.shape
-    if max(shape) <= _MATRIX_MAX_AXIS and v.size <= _MATRIX_MAX_NODES:
-        mats = _laplacian_matrices(shape, grid.spacing)
-        # axis 0 multiplies the (n0, rest) view from the left, the last axis
-        # the (rest, n) view from the right, and a middle axis every (n, trail)
-        # block of the (lead, n, trail) view
-        out = (mats[0] @ v.reshape(shape[0], -1)).reshape(shape)
-        for ax in range(1, len(shape) - 1):
-            lead = math.prod(shape[:ax])
-            part = np.matmul(mats[ax], v.reshape(lead, shape[ax], -1))
-            out += part.reshape(shape)
-        if len(shape) > 1:
-            part = v.reshape(-1, shape[-1]) @ mats[-1]
-            out += part.reshape(shape)
-        return f.with_values(out)
-    centre, axes = _laplacian_stencil(shape, grid.spacing)
-    out = v * centre
-    for c, mid, up, down, c2, ends, inner in axes:
-        s = v[up] + v[down]
-        s *= c
-        rows = out[mid]  # a view: adding in place writes through to out
-        rows += s
-        rows = out[ends]
-        rows += c2 * v[inner]
+    weights, centre = _laplacian_weights(grid.spacing)
+    # fancy indexing, not np.take: np.take copies a read-only index array
+    # on every call
+    out = (weights @ v.ravel()[_neighbours(grid.shape)]).reshape(v.shape)
+    out += centre * v
     return f.with_values(out)
 
 
-# laplacian multiplies by per-axis matrices up to these sizes and runs the
-# sliced stencil above them.  Median us of one call including its ScalarField,
-# 15 interleaved repeats on 2 cores (numpy 2.4 on OpenBLAS 0.3.31), sliced
-# and matrix, with the last axis's matrix stored transposed:
-#   2-D  33^2:  19.6   9.8        3-D 21^3:   87   49
-#   2-D  65^2:  28.6  27.7        3-D 25^3:  135   78
-#   2-D  97^2:  56.4  61.2        3-D 33^3:  254  198
-#   2-D 129^2:  93   177          1-D  65:    5.5  4.5
-#                                 1-D 513:    6.8 60.3
-# The product's work per node grows with the axis length and the stencil's
-# does not, so the axis bound falls between 65 and 97 nodes.  At 33^3 the two
-# traded places between runs of this table (matrix 198-468 us, stencil
-# 254-406 us), so the node bound stays between 25^3 and 33^3.
-_MATRIX_MAX_AXIS = 65
-_MATRIX_MAX_NODES = 1 << 14
+@functools.lru_cache(maxsize=4)  # a 65^3 table holds 13 MB
+def _neighbours(shape: tuple) -> np.ndarray:
+    """Read-only ``(2 * d, nodes)`` table of flat C-order node indices: per
+    axis, each node's lower and then upper neighbour along it.
+
+    At an end node the inner neighbour stands in for the mirrored ghost node.
+    """
+    index = np.arange(math.prod(shape)).reshape(shape)
+    rows = []
+    for ax, n in enumerate(shape):
+        i = np.arange(n)
+        for along in (np.abs(i - 1), n - 1 - np.abs(n - 2 - i)):
+            rows.append(np.take(index, along, axis=ax).ravel())
+    return _read_only(np.stack(rows))
 
 
 @functools.lru_cache(maxsize=64)
-def _laplacian_matrices(shape: tuple, spacing: tuple) -> tuple:
-    """Per axis, the read-only (n x n) matrix of ``h**-2 * (v[i-1] - 2 v[i] + v[i+1])``.
-
-    Its end rows count the inner neighbour twice, as the mirrored ghost
-    node equals it.  The last axis of a grid with more than one axis is
-    stored transposed, as a C-order array: :func:`laplacian` multiplies it
-    from the right, and BLAS then reads it contiguously.
-    """
-    mats = []
-    for n, h in zip(shape, spacing):
-        c = 1.0 / (h * h)
-        m = c * (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1))
-        m[0, 1] = m[-1, -2] = 2.0 * c
-        mats.append(m)
-    if len(mats) > 1:
-        mats[-1] = np.ascontiguousarray(mats[-1].T)
-    return tuple(_read_only(m) for m in mats)
-
-
-@functools.lru_cache(maxsize=64)
-def _laplacian_stencil(shape: tuple, spacing: tuple):
-    """Centre weight and, per axis, the weights and index tuples of :func:`laplacian`.
-
-    Per axis: ``h**-2``; the interior rows and their upper and lower
-    neighbours; ``2 * h**-2``; the two end rows and their inner neighbours
-    (one row broadcast to both ends on a 3-node axis).
-    """
-    axes = []
-    for ax, (n, h) in enumerate(zip(shape, spacing)):
-        lead = (slice(None),) * ax
-        c = 1.0 / (h * h)
-        inner = slice(1, 2) if n == 3 else slice(1, n - 1, n - 3)
-        axes.append((
-            c,
-            lead + (slice(1, -1),),
-            lead + (slice(2, None),),
-            lead + (slice(None, -2),),
-            2.0 * c,
-            lead + (slice(None, None, n - 1),),
-            lead + (inner,),
-        ))
-    return -2.0 * sum(a[0] for a in axes), tuple(axes)
+def _laplacian_weights(spacing: tuple) -> tuple:
+    """The weights of :func:`_neighbours`' rows, each axis's ``h**-2`` twice
+    (read-only), and the centre weight ``-2 * sum(h**-2)``."""
+    c = [1.0 / (h * h) for h in spacing]
+    return _read_only(np.repeat(c, 2)), -2.0 * sum(c)
 
 
 def gradient_magnitude(f: ScalarField) -> ScalarField:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .classifier import densities_for, fit as ofc_fit, predict as ofc_predict
 from .data import LabeledDataset, kfold
+from .density import _check_bandwidth
 from .energy import check_measure
 from .errors import DegenerateDataError, DegenerateModelError, DimensionError, OfcError
 from .metrics import (
@@ -205,6 +206,9 @@ class ExperimentSpec:
         if "oracle" in self.classifiers and self.data.dim != 1:
             raise ValueError(f"the oracle thresholds 1-D data, got {self.data.dim}-D")
         check_measure(self.ofc_measure, self.ofc.descent)
+        # refused here, before any cell runs, rather than in every ofc cell
+        if self.ofc_bandwidth is not None:
+            _check_bandwidth(self.ofc_bandwidth)
 
 
 @dataclass(frozen=True)

@@ -480,10 +480,23 @@ def test_eval_missing_data_key_is_data_error(tmp_path):
     assert run("eval", "--config", cfg, "--out", tmp_path / "s.csv") == 2
 
 
+def failing_ofc_fit(monkeypatch):
+    """Make every ofc cell fail, as a fit that breaks down numerically does."""
+    import ofc.harness
+    from ofc.errors import NumericalError
+
+    def fit(*args, **kwargs):
+        raise NumericalError("the fit broke down")
+
+    monkeypatch.setattr(ofc.harness, "ofc_fit", fit)
+
+
 @pytest.mark.parametrize("command", ["eval", "sweep-beta"])
-def test_every_cell_failing_is_numerical_failure(tmp_path, separable_csv, capsys, command):
+def test_every_cell_failing_is_numerical_failure(tmp_path, separable_csv, capsys,
+                                                 monkeypatch, command):
+    failing_ofc_fit(monkeypatch)
     cfg = eval_config(tmp_path / "exp.cfg", separable_csv, classifiers="ofc",
-                      repetitions=1, bandwidth="1e200")
+                      repetitions=1, resolution=16)
     out = tmp_path / "out.csv"
     assert run(command, "--config", cfg, "--out", out) == 3
     err = capsys.readouterr().err
@@ -493,11 +506,33 @@ def test_every_cell_failing_is_numerical_failure(tmp_path, separable_csv, capsys
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep-beta"])
-def test_some_cells_failing_still_succeeds(tmp_path, separable_csv, capsys, command):
+def test_some_cells_failing_still_succeeds(tmp_path, separable_csv, capsys,
+                                          monkeypatch, command):
+    failing_ofc_fit(monkeypatch)
     cfg = eval_config(tmp_path / "exp.cfg", separable_csv, classifiers="nb,ofc",
-                      repetitions=1, bandwidth="1e200")
+                      repetitions=1, resolution=16)
     assert run(command, "--config", cfg, "--out", tmp_path / "out.csv") == 0
     assert capsys.readouterr().err.count("cell failed: ") == 4  # ofc's, not nb's
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep-beta"])
+@pytest.mark.parametrize("bandwidth", ["-1", "nan", "1e200"])
+def test_eval_bad_bandwidth_is_usage_error(tmp_path, separable_csv, capsys,
+                                           monkeypatch, command, bandwidth):
+    import ofc.harness
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(ofc.harness, "_run_fold", no_cell)
+    cfg = eval_config(tmp_path / "exp.cfg", separable_csv, classifiers="ofc,nb",
+                      bandwidth=bandwidth)
+    out = tmp_path / "s.csv"
+    assert run(command, "--config", cfg, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "bandwidth must be positive and finite, with a finite square" in err
+    assert "cell failed" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep-beta"])
