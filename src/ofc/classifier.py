@@ -13,7 +13,6 @@ holds too.
 """
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
 
@@ -68,13 +67,9 @@ class TrainedClassifier:
 
 
 def density_fingerprint(d: DensityPair) -> str:
-    """sha256 over the grid, both density arrays, and the class counts."""
-    h = hashlib.sha256()
-    h.update(repr(d.grid).encode())
-    h.update(np.ascontiguousarray(d.f_pos.values).tobytes())
-    h.update(np.ascontiguousarray(d.f_neg.values).tobytes())
-    h.update(f"{d.p_count!r},{d.n_count!r}".encode())
-    return h.hexdigest()
+    """sha256 over the grid, both density arrays, and the class counts,
+    computed once per pair."""
+    return d._fingerprint
 
 
 def densities_for(data: LabeledDataset, cfg: TrainConfig = None, bandwidth=None) -> DensityPair:

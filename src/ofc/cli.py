@@ -279,7 +279,8 @@ def _cmd_field(args) -> int:
 # help of each TrainConfig field's flag; the flag's type is its text parser
 _TRAIN_HELP = {
     "beta": "F_beta weight",
-    "dt": "time step (default: auto from the initial descent)",
+    "dt": "time step (default: auto from the initial descent, capped for lam > 0 at "
+          "the explicit-diffusion limit 1 / (2 * lam * sum(h^-2)))",
     "lam": "smoothing weight (default: 0.1 * max spacing^2, set once per run from the grid)",
     "eps_h": "step smoothing width (default: 1.5 * max spacing, set once per run from the grid)",
     "tol": "stop when the max nodal update falls below this",

@@ -24,9 +24,17 @@ node count however narrow or wide the kernel is.
 
 Grid densities are renormalized to unit mass under the grid's own
 trapezoidal quadrature, which keeps downstream count identities exact.
+
+A :class:`DensityPair` is frozen and holds read-only copies of its
+densities.  What every energy on it reads (the quadrature-weighted stack,
+the stacked densities, the order of the optimum's sort and the
+fingerprint) it builds once, on first use, and caches, so the betas
+trained on one pair share that work and the cache cannot go stale.
 """
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -34,7 +42,14 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import DegenerateDataError, EmptyMassError, GridMismatchError
-from .field import GridSpec, ScalarField, _cell_corners, integrate
+from .field import (
+    GridSpec,
+    ScalarField,
+    _cell_corners,
+    _quadrature_weights,
+    _read_only,
+    integrate,
+)
 
 _REACH = 8.0  # bandwidths past the grid that the bin lattice extends
 _MIN_BW_CELLS = 0.25  # narrowest kernel, in cells of its axis
@@ -139,9 +154,13 @@ def density_on_grid(model: KdeModel, grid: GridSpec) -> ScalarField:
     return ScalarField(grid, vals / mass)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensityPair:
-    """Per-class grid densities plus the class counts that scale them."""
+    """Per-class grid densities plus the class counts that scale them.
+
+    The pair keeps read-only copies of both densities' values, so the
+    arrays it derives from them and caches can never disagree with them.
+    """
 
     f_pos: ScalarField
     f_neg: ScalarField
@@ -153,10 +172,55 @@ class DensityPair:
             raise GridMismatchError("class densities live on different grids")
         if self.p_count <= 0 or self.n_count <= 0:
             raise ValueError("class counts must be positive")
+        for name in ("f_pos", "f_neg"):
+            f = getattr(self, name)
+            object.__setattr__(self, name, ScalarField(f.grid, _read_only(f.values.copy())))
 
     @property
     def grid(self) -> GridSpec:
         return self.f_pos.grid
+
+    # built once per pair: each beta trained on it reads them
+    @functools.cached_property
+    def _weighted(self) -> np.ndarray:
+        """The quadrature-weighted densities, rows (f+, f-) flattened:
+        region masses are one product with it."""
+        w = _quadrature_weights(self.grid)
+        return _read_only(np.stack([self.f_pos.values * w, self.f_neg.values * w]).reshape(2, -1))
+
+    @functools.cached_property
+    def _half_mass(self) -> tuple:
+        """Half the total of each row of :attr:`_weighted`."""
+        return tuple((0.5 * self._weighted.sum(axis=1)).tolist())
+
+    @functools.cached_property
+    def _stacked(self) -> np.ndarray:
+        """The densities, rows (f-, f+) flattened: a flow's numerator is one
+        product with (1, q)."""
+        return _read_only(np.stack([self.f_neg.values, self.f_pos.values]).reshape(2, -1))
+
+    @functools.cached_property
+    def _ratio_order(self) -> tuple:
+        """The nodes in stable order of weighted f- over weighted f+, and the
+        cumulative weighted f+ and f- along that order.
+
+        A node without positive mass has ratio inf or nan and sorts last; a
+        ratio that overflows on a denormal f+ is inf and sorts with them.
+        """
+        a, c = self._weighted
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            order = np.argsort(c / a, kind="stable")
+        return tuple(_read_only(x) for x in (order, np.cumsum(a[order]), np.cumsum(c[order])))
+
+    @functools.cached_property
+    def _fingerprint(self) -> str:
+        """sha256 over the grid, both density arrays, and the class counts."""
+        h = hashlib.sha256()
+        h.update(repr(self.grid).encode())
+        h.update(self.f_pos.values.tobytes())
+        h.update(self.f_neg.values.tobytes())
+        h.update(f"{self.p_count!r},{self.n_count!r}".encode())
+        return h.hexdigest()
 
 
 def estimate_pair(data: LabeledDataset, grid: GridSpec, bandwidth=None) -> DensityPair:

@@ -54,7 +54,7 @@ import numpy as np
 
 from .density import DensityPair
 from .errors import VanishingPositiveMassError
-from .field import ScalarField, _quadrature_weights
+from .field import ScalarField
 from .metrics import check_positive, smoothed_delta
 
 _MASS_FLOOR = 1e-12
@@ -98,8 +98,9 @@ class MeasureEnergy:
     """Energy functional for one density pair, measure and smoothing width.
 
     kind "f_measure" uses beta, through k = beta**2 * p_count / n_count;
-    kind "accuracy" ignores beta and has k None.  The pair's density values
-    are read once, at construction.
+    kind "accuracy" ignores beta and has k None.  The arrays it reads are
+    built once per pair and cached on it (:class:`~ofc.density.DensityPair`),
+    so energies at several betas on one pair share them.
     """
 
     pair: DensityPair
@@ -123,21 +124,12 @@ class MeasureEnergy:
                 )
             check_positive("k", k)
             object.__setattr__(self, "k", float(k))
-        # quadrature-weighted densities, one row per class, and half their
-        # masses: the fractions are then one matrix-vector product
-        w = _quadrature_weights(self.pair.grid)
-        fp, fn = self.pair.f_pos.values, self.pair.f_neg.values
-        weighted = np.stack([fp * w, fn * w]).reshape(2, -1)
-        object.__setattr__(self, "_weighted", weighted)
-        object.__setattr__(self, "_half_mass", (0.5 * weighted.sum(axis=1)).tolist())
-        # (f-, f+) rows: a flow's numerator is one product with (1, q)
-        object.__setattr__(self, "_densities", np.stack([fn, fp]).reshape(2, -1))
 
     def _fractions(self, u: ScalarField) -> tuple[float, float, float]:
         """(A, B, C) of u."""
-        s = self._weighted @ np.arctan(u.values / self.eps).ravel()
+        s = self.pair._weighted @ np.arctan(u.values / self.eps).ravel()
         s_pos, s_neg = s.tolist()
-        half_pos, half_neg = self._half_mass
+        half_pos, half_neg = self.pair._half_mass
         a = half_pos + s_pos / math.pi
         b = half_pos - s_pos / math.pi
         c = half_neg + s_neg / math.pi
@@ -145,7 +137,7 @@ class MeasureEnergy:
 
     def _flow(self, u: ScalarField, coef_pos: float, coef_neg: float) -> ScalarField:
         """``smoothed_delta(u) * (coef_pos * f+ + coef_neg * f-)`` as a field."""
-        num = np.array([1.0, coef_pos / coef_neg]) @ self._densities
+        num = np.array([1.0, coef_pos / coef_neg]) @ self.pair._stacked
         den = u.values * u.values
         den += self.eps**2
         den *= math.pi / (coef_neg * self.eps)
@@ -201,8 +193,8 @@ class MeasureEnergy:
 
     def _mask_energy(self, mask: np.ndarray, descent: str) -> float:
         """:meth:`sign_pattern_energy` of the classifier positive on ``mask``."""
-        a, c = (self._weighted @ mask.ravel()).tolist()
-        b = 2.0 * self._half_mass[0] - a
+        a, c = (self.pair._weighted @ mask.ravel()).tolist()
+        b = 2.0 * self.pair._half_mass[0] - a
         try:
             if descent == "G":
                 return _f_beta(self.beta**2, a, b, c)[0]
@@ -218,23 +210,21 @@ class MeasureEnergy:
         scores a node set S as (k * (W+ - A(S)) + C(S)) / A(S), a ratio of
         sums, so by Dinkelbach (1967) its best S is {c_i < t * a_i} for some
         t: a prefix of the nodes sorted by c_i / a_i, whose scores come from
-        two cumulative sums.
+        two cumulative sums.  The sort and the sums depend on the pair
+        alone and are cached on it.
         """
-        a, c = self._weighted
+        pair = self.pair
         if self.kind == "accuracy":
-            return (self.pair.n_count * c < self.pair.p_count * a).reshape(self.pair.grid.shape)
+            a, c = pair._weighted
+            return (pair.n_count * c < pair.p_count * a).reshape(pair.grid.shape)
         k = self.k if descent == "derivative" else self.beta**2
-        # a node without positive mass has ratio inf or nan and sorts last; a
-        # ratio that overflows on a denormal a_i is inf and sorts with them
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            order = np.argsort(c / a, kind="stable")
-        pos, neg = np.cumsum(a[order]), np.cumsum(c[order])
+        order, pos, neg = pair._ratio_order
         score = np.full(pos.shape, np.inf)
-        np.divide(k * (2.0 * self._half_mass[0] - pos) + neg, pos, out=score,
+        np.divide(k * (2.0 * pair._half_mass[0] - pos) + neg, pos, out=score,
                   where=pos >= _MASS_FLOOR)
-        mask = np.zeros(a.size, dtype=bool)
+        mask = np.zeros(order.size, dtype=bool)
         mask[order[:int(np.argmin(score)) + 1]] = True
-        return mask.reshape(self.pair.grid.shape)
+        return mask.reshape(pair.grid.shape)
 
     def stationarity_residual(self, u: ScalarField, fractions: tuple = None) -> float:
         """Largest gradient magnitude on the active band around the zero set.

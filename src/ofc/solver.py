@@ -9,6 +9,7 @@ evolves by explicit descent steps
 
     u <- u - dt * (descent_direction - lambda * laplacian(u))
 
+from a dt within the explicit-diffusion limit (:func:`auto_time_step`),
 with a CFL-like guard (a step moving any node by more than 10 cell widths
 is rejected and dt halved) and periodic rebuilding of u as a signed
 distance function, every ``reinit_every`` iterations.  Two rules declare
@@ -122,7 +123,9 @@ class TrainConfig:
     dt, lam and eps_h default to None: :func:`train` resolves them once,
     from the grid (lam = 0.1 * max spacing squared, eps_h = 1.5 * max
     spacing; see :func:`resolved_config`) and the initial descent (dt =
-    0.5 * min spacing / max |descent|).  resolution=None picks the
+    0.5 * min spacing / max |descent|, capped for lam > 0 at the
+    explicit-diffusion limit 1 / (2 * lam * sum(h**-2)); see
+    :func:`auto_time_step`).  resolution=None picks the
     per-dimension default; a set one must match the grid.  init=None starts
     from the exact minimizer of the sign-pattern energy, redistanced, or
     from the default sphere lattice when that minimizer takes every node or
@@ -136,8 +139,9 @@ class TrainConfig:
     ends at its first redistancing (unless that ties with the start), so it
     takes exactly reinit_every steps: reinit_every is the length of its
     flow, and max_iter only binds below it.  The default of 10 follows from
-    dt, which lets the fastest node move half a cell per step: 10 steps
-    refine the optimum's front by at most 5 cells.
+    dt, which lets the fastest node move at most half a cell per step (less
+    where the diffusion limit caps dt): 10 steps refine the optimum's front
+    by at most 5 cells.
     """
 
     beta: float = 1.0
@@ -289,11 +293,20 @@ def resolved_config(cfg: TrainConfig, grid) -> TrainConfig:
 
 
 def auto_time_step(u: ScalarField, e: MeasureEnergy, cfg: TrainConfig) -> float:
-    """Half a cell width per unit descent, measured at the starting field."""
+    """Half a cell width per unit descent, measured at the starting field,
+    and for lam > 0 at most the explicit-diffusion limit 1 / (2 * lam *
+    sum(h**-2)).
+
+    Past that limit a step amplifies the grid's checkerboard mode, until
+    the step guard rejects one and halves dt.  lam is cfg's, or resolved on
+    u's grid as :func:`step` resolves it.
+    """
     scale = float(np.abs(e.descent_direction(u, cfg.descent).values).max())
-    if scale == 0.0:
-        return 1.0
-    return 0.5 * min(u.grid.spacing) / scale
+    dt = 1.0 if scale == 0.0 else 0.5 * min(u.grid.spacing) / scale
+    lam = cfg.lam if cfg.lam is not None else resolved_config(cfg, u.grid).lam
+    if lam > 0.0:
+        dt = min(dt, 1.0 / (2.0 * lam * sum(h**-2 for h in u.grid.spacing)))
+    return dt
 
 
 def step(
@@ -439,7 +452,8 @@ def reinitialize(u: ScalarField) -> ScalarField:
     The sign at every node is preserved, so predictions are unchanged.  A
     field without any sign change has no zero set and is returned as is.
     """
-    if not has_sign_change(u):
+    negative = u.values < 0
+    if not negative.any() or negative.all():
         return u
     coords = u.grid._nodes
     plane, feet = _plane_feet(u.values, u.grid.spacing, coords)
@@ -453,13 +467,17 @@ def reinitialize(u: ScalarField) -> ScalarField:
     dist = plane  # a seed keeps its distance to the plane
     for box, near in tiles:
         todo = free[box]
-        # each free node's row [x - centre, 1]; its first d columns are x - centre
-        rows = np.ones((np.count_nonzero(todo), u.grid.dim + 1))
-        points = rows[:, :-1]
-        np.subtract(coords[(slice(None),) + box][:, todo].T, centre, out=points)
-        gap = points - np.take(near, _nearest_feet(rows, near), axis=0)
+        # each free node's row [x - centre, 1]: its points are gathered and
+        # centred as contiguous (d, n) columns, faster than row by row, and
+        # copied into the rows
+        points = np.compress(todo.ravel(), coords[(slice(None),) + box].reshape(u.grid.dim, -1),
+                             axis=1)
+        points -= centre[:, None]
+        rows = np.ones((points.shape[1], u.grid.dim + 1))
+        rows[:, :-1] = points.T
+        gap = points.T - np.take(near, _nearest_feet(rows, near), axis=0)
         dist[box][todo] = np.sqrt(np.einsum("ij,ij->i", gap, gap))
-    np.negative(dist, out=dist, where=u.values < 0)
+    np.negative(dist, out=dist, where=negative)
     return u.with_values(dist)
 
 

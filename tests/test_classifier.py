@@ -1,10 +1,12 @@
 """End-to-end model: fit, predict, frontier export, persistence."""
+import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ofc.data import LabeledDataset, gen_db, gen_toy1d
+from ofc.data import LabeledDataset, gen_db, gen_toy1d, kfold
 from ofc.density import DensityPair
 from ofc.errors import (
     DegenerateDataError,
@@ -25,7 +27,17 @@ from ofc.classifier import (
     predict,
     save,
 )
-from ofc.field import Box, GridSpec, ScalarField, Sphere, SphereLattice, init_shape, interpolate
+from ofc.energy import MeasureEnergy
+from ofc.field import (
+    Box,
+    GridSpec,
+    ScalarField,
+    Sphere,
+    SphereLattice,
+    _quadrature_weights,
+    init_shape,
+    interpolate,
+)
 from ofc.solver import TrainConfig, reinitialize, train
 
 
@@ -106,6 +118,79 @@ def test_fit_rejects_densities_at_another_resolution():
     coarse = densities_for(data, TrainConfig(resolution=32))
     with pytest.raises(ValueError, match=r"resolution 64 .* cells per axis \(32, 32\)"):
         fit(data, TrainConfig(resolution=64, max_iter=5), densities=coarse)
+
+
+def fold0_train(db, seed=1, folds=5):
+    data = gen_db(db, seed=seed)
+    return data.subset(kfold(data, folds, seed=seed)[0][0])
+
+
+@pytest.mark.parametrize("resolution", [32, 64])
+def test_default_fits_take_no_dt_halving(resolution):
+    # dt starts within the explicit-diffusion limit, so no step is rejected
+    for db in (1, 2, 3, 4):
+        _, trace = fit(fold0_train(db), TrainConfig(resolution=resolution))
+        assert trace.dt_halvings == 0, f"db{db}"
+
+
+def uncached_optimum_mask(pair, k):
+    """The F-beta optimum's node mask, computed from the densities afresh."""
+    w = _quadrature_weights(pair.grid)
+    weighted = np.stack([pair.f_pos.values * w, pair.f_neg.values * w]).reshape(2, -1)
+    half_pos = (0.5 * weighted.sum(axis=1)).tolist()[0]
+    a, c = weighted
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        order = np.argsort(c / a, kind="stable")
+    pos, neg = np.cumsum(a[order]), np.cumsum(c[order])
+    score = np.full(pos.shape, np.inf)
+    np.divide(k * (2.0 * half_pos - pos) + neg, pos, out=score, where=pos >= 1e-12)
+    mask = np.zeros(a.size, dtype=bool)
+    mask[order[:int(np.argmin(score)) + 1]] = True
+    return mask.reshape(pair.grid.shape)
+
+
+@pytest.mark.parametrize("db", [1, 2, 3, 4])
+def test_pair_cache_is_shared_read_only_and_exact(db):
+    data = fold0_train(db)
+    cfg = TrainConfig(resolution=32)
+    pair = densities_for(data, cfg)
+    cached = [pair._weighted, pair._stacked, *pair._ratio_order]
+    hashes = set()
+    for beta in (0.5, 2.0):
+        model, _ = train(pair, dataclasses.replace(cfg, beta=beta))
+        hashes.add(model.densities_hash)
+        for descent, k in (("derivative", model.k), ("G", beta**2)):
+            energy = MeasureEnergy(pair, eps=model.config.eps_h, beta=beta)
+            assert (energy._optimum_mask(descent).tobytes()
+                    == uncached_optimum_mask(pair, k).tobytes())
+    # both betas read the arrays built for the first
+    assert all(a is b for a, b in zip(cached, [pair._weighted, pair._stacked, *pair._ratio_order]))
+    for a in cached + [pair.f_pos.values, pair.f_neg.values]:
+        assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        pair.f_pos.values[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.p_count = 1
+    h = hashlib.sha256()
+    h.update(repr(pair.grid).encode())
+    h.update(np.ascontiguousarray(pair.f_pos.values).tobytes())
+    h.update(np.ascontiguousarray(pair.f_neg.values).tobytes())
+    h.update(f"{pair.p_count!r},{pair.n_count!r}".encode())
+    assert hashes == {h.hexdigest()}
+
+
+def test_pair_keeps_its_own_copy_of_the_densities():
+    grid = GridSpec(bounds=((0.0, 1.0),), resolution=8)
+    values = np.ones(grid.shape)
+    pair = DensityPair(f_pos=ScalarField(grid, values), f_neg=ScalarField(grid, values),
+                       p_count=5, n_count=9)
+    before = density_fingerprint(pair), pair._weighted.copy()
+    values[3] = 2.0  # the caller's array stays writable, and the pair unchanged
+    fresh = DensityPair(f_pos=ScalarField(grid, np.ones(grid.shape)),
+                        f_neg=ScalarField(grid, np.ones(grid.shape)), p_count=5, n_count=9)
+    assert before[0] == density_fingerprint(fresh)
+    assert np.array_equal(before[1], pair._weighted)
+    assert pair.f_pos.values[3] == 1.0
 
 
 def test_fit_is_deterministic():

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ofc import solver
 from ofc.density import DensityPair
@@ -132,6 +133,39 @@ def test_auto_time_step_on_zero_descent_is_one():
     energy = MeasureEnergy(pair, eps=0.05, kind="accuracy")
     u = ScalarField(pair.grid, np.sin(pair.grid.axes()[0]))
     assert auto_time_step(u, energy, TrainConfig()) == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_auto_time_step_keeps_explicit_diffusion_stable(data):
+    # an anisotropic grid in 1-D to 3-D, random densities and field
+    dim = data.draw(st.integers(1, 3))
+    widths = [data.draw(st.floats(1e-3, 1e3)) for _ in range(dim)]
+    grid = GridSpec(bounds=tuple((0.0, w) for w in widths),
+                    resolution=tuple(data.draw(st.integers(4, 12)) for _ in range(dim)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pair = DensityPair(ScalarField(grid, rng.random(grid.shape) + 0.01),
+                       ScalarField(grid, rng.random(grid.shape) + 0.01), p_count=30, n_count=70)
+    energy = MeasureEnergy(pair, eps=1.5 * max(grid.spacing))
+    u = ScalarField(grid, rng.standard_normal(grid.shape))
+    scale = data.draw(st.one_of(st.none(), st.just(0.0), st.floats(1e-3, 1e3)))
+    cfg = TrainConfig(lam=None if scale is None else scale * max(grid.spacing) ** 2)
+    lam = solver.resolved_config(cfg, grid).lam
+    dt = auto_time_step(u, energy, cfg)
+    free = 0.5 * min(grid.spacing) / float(np.abs(energy.descent_direction(u).values).max())
+    if lam == 0.0:
+        assert dt == free
+    else:
+        assert dt == min(free, 1.0 / (2.0 * lam * sum(h**-2 for h in grid.spacing)))
+        # at that dt, diffusion alone does not amplify the checkerboard mode,
+        # the Laplacian's fastest
+        flat = replace(pair, f_neg=pair.f_pos, n_count=pair.p_count)
+        accuracy = MeasureEnergy(flat, eps=energy.eps, kind="accuracy")
+        h = min(grid.spacing)  # the amplitude, so no step nears the 10-cell guard
+        checker = ScalarField(grid, h * (-1.0) ** np.indices(grid.shape).sum(axis=0))
+        dt = auto_time_step(checker, accuracy, cfg)
+        after = step(step(checker, accuracy, cfg, dt), accuracy, cfg, dt)
+        assert np.abs(after.values).max() <= h * (1.0 + 1e-9)
 
 
 def test_step_fixed_point_without_diffusion():
