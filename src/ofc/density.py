@@ -19,15 +19,17 @@ A bandwidth below a quarter cell is widened to a quarter cell.  A narrower
 kernel falls between the nodes, so what the nodes see of it depends on
 where its sample sits between them more than on the data, and the lattice
 would need more than 4 bins per cell.  With at most 4 bins per cell and 17
-bins of padding per side, the lattice stays within a small multiple of the
-node count however narrow or wide the kernel is.
+bins of padding per side, each axis of the lattice stays within a small
+multiple of its node count however narrow or wide the kernel is.  Their
+product need not: 200 normal samples in 5-D at 4 cells per axis (3,125
+nodes) give 31-39 bins per axis, a lattice of 36-54 M bins.
 
 Grid densities are renormalized to unit mass under the grid's own
 trapezoidal quadrature, which keeps downstream count identities exact.
 
 A :class:`DensityPair` is frozen and holds read-only copies of its
 densities.  What every energy on it reads (the quadrature-weighted stack,
-the stacked densities, the order of the optimum's sort and the
+which scores node sets, the stacked densities, which build flows, and the
 fingerprint) it builds once, on first use, and caches, so the betas
 trained on one pair share that work and the cache cannot go stale.
 """
@@ -95,7 +97,9 @@ def fit_kde(samples: np.ndarray, bandwidth=None) -> KdeModel:
         raise DegenerateDataError("KDE samples must be finite")
     m, d = pts.shape
     if bandwidth is None:
-        sigma = np.ascontiguousarray(pts.T).std(axis=1, ddof=1)
+        # a spread that overflows gives a bandwidth that KdeModel refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma = np.ascontiguousarray(pts.T).std(axis=1, ddof=1)
         if (sigma == 0).any():
             raise DegenerateDataError(
                 "zero variance along an axis; pass an explicit bandwidth"
@@ -198,19 +202,6 @@ class DensityPair:
         """The densities, rows (f-, f+) flattened: a flow's numerator is one
         product with (1, q)."""
         return _read_only(np.stack([self.f_neg.values, self.f_pos.values]).reshape(2, -1))
-
-    @functools.cached_property
-    def _ratio_order(self) -> tuple:
-        """The nodes in stable order of weighted f- over weighted f+, and the
-        cumulative weighted f+ and f- along that order.
-
-        A node without positive mass has ratio inf or nan and sorts last; a
-        ratio that overflows on a denormal f+ is inf and sorts with them.
-        """
-        a, c = self._weighted
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            order = np.argsort(c / a, kind="stable")
-        return tuple(_read_only(x) for x in (order, np.cumsum(a[order]), np.cumsum(c[order])))
 
     @functools.cached_property
     def _fingerprint(self) -> str:

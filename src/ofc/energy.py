@@ -27,10 +27,13 @@ variation with k replaced by beta**2, which has the same zero set.
 
 Taking A, B and C over {u >= 0} instead of through H gives the
 sign-pattern energy: the measure that the classifier sign(u) attains on
-the densities.  One sort finds its exact minimizer on the grid, where
-training starts by default.  Training also stops on it: at the first
-redistanced field that scores above the one before it, the start
-included, so a run from the minimizer ends at its first redistancing.
+the densities.  Dinkelbach's (1967) iteration finds its exact minimizer
+on the grid, where training starts by default, in a few products of the
+weighted densities with a vector; an F-beta step is the plug-in rule of
+Narasimhan, Vaish & Agarwal (2014) at the current score.  Training stops
+at the first redistanced field scoring above the one before it, the
+start included, so a run from the minimizer ends at its first
+redistancing.
 
 The training loop evaluates these on every iteration, so each is written
 as few whole-grid passes.  With H = 1/2 + arctan(u/eps)/pi, the three
@@ -144,6 +147,13 @@ class MeasureEnergy:
         num /= den.ravel()
         return u.with_values(num.reshape(u.grid.shape))
 
+    def _objective(self, descent: str, a: float, b: float, c: float):
+        """g(A, B, C) and its partials for the objective ``descent`` minimizes:
+        the energy's own measure, or for "G" F-beta at k = beta**2."""
+        if descent == "G":
+            return _f_beta(self.beta**2, a, b, c)
+        return _MEASURES[self.kind](self, a, b, c)
+
     def evaluate(self, u: ScalarField, return_fractions: bool = False):
         """Energy at u; with ``return_fractions``, (energy, (A, B, C)).
 
@@ -151,7 +161,7 @@ class MeasureEnergy:
         same u, which then skips recomputing them.
         """
         fractions = self._fractions(u)
-        energy, _ = _MEASURES[self.kind](self, *fractions)
+        energy, _ = self._objective("derivative", *fractions)
         return (energy, fractions) if return_fractions else energy
 
     def gradient(self, u: ScalarField, fractions: tuple = None) -> ScalarField:
@@ -160,9 +170,7 @@ class MeasureEnergy:
         ``fractions`` are u's (A, B, C) when already known.  The variation
         is ``delta(u) * ((g_A - g_B) * f+ + g_C * f-)``.
         """
-        a, b, c = fractions if fractions is not None else self._fractions(u)
-        _, (g_a, g_b, g_c) = _MEASURES[self.kind](self, a, b, c)
-        return self._flow(u, g_a - g_b, g_c)
+        return self.descent_direction(u, "derivative", fractions)
 
     def descent_direction(
         self, u: ScalarField, kind: str = "derivative", fractions: tuple = None
@@ -172,33 +180,27 @@ class MeasureEnergy:
         ``fractions`` are u's (A, B, C) when already known.  "G" is
         ``delta(u) * ((f- - beta**2 * f+) * A - f+ * (C + beta**2 * B))``.
         """
-        if kind == "derivative":
-            return self.gradient(u, fractions)
         check_measure(self.kind, kind)
         a, b, c = fractions if fractions is not None else self._fractions(u)
-        # A**2 times the F-beta variation at k = beta**2
-        _, (g_a, g_b, g_c) = _f_beta(self.beta**2, a, b, c)
-        return self._flow(u, a * a * (g_a - g_b), a * a * g_c)
+        _, (g_a, g_b, g_c) = self._objective(kind, a, b, c)
+        scale = a * a if kind == "G" else 1.0
+        return self._flow(u, scale * (g_a - g_b), scale * g_c)
 
     def sign_pattern_energy(self, u: ScalarField, descent: str = "derivative") -> float:
         """g(A, B, C) of the objective ``descent`` minimizes, with A, B and C
         taken over {u >= 0} instead of through the smoothed step.
 
         This is the measure the classifier sign(u) attains on the densities,
-        so it does not change when u is redistanced.  "derivative" scores
-        the energy's own measure and "G" F-beta at k = beta**2.  A field
-        holding none of the positive mass scores inf under F-beta.
+        so it does not change when u is redistanced.  A field holding none
+        of the positive mass scores inf under F-beta.
         """
         return self._mask_energy(u.values >= 0, descent)
 
     def _mask_energy(self, mask: np.ndarray, descent: str) -> float:
         """:meth:`sign_pattern_energy` of the classifier positive on ``mask``."""
         a, c = (self.pair._weighted @ mask.ravel()).tolist()
-        b = 2.0 * self.pair._half_mass[0] - a
         try:
-            if descent == "G":
-                return _f_beta(self.beta**2, a, b, c)[0]
-            return _MEASURES[self.kind](self, a, b, c)[0]
+            return self._objective(descent, a, 2.0 * self.pair._half_mass[0] - a, c)[0]
         except VanishingPositiveMassError:
             return math.inf
 
@@ -206,25 +208,25 @@ class MeasureEnergy:
         """The grid-shaped node mask whose classifier scores the lowest
         :meth:`sign_pattern_energy` for ``descent``.
 
-        Accuracy takes the nodes where n_count * f- < p_count * f+.  F-beta
-        scores a node set S as (k * (W+ - A(S)) + C(S)) / A(S), a ratio of
-        sums, so by Dinkelbach (1967) its best S is {c_i < t * a_i} for some
-        t: a prefix of the nodes sorted by c_i / a_i, whose scores come from
-        two cumulative sums.  The sort and the sums depend on the pair
-        alone and are cached on it.
+        Dinkelbach's iteration: the nodes where the first variation at the
+        current set S, ``(g_A - g_B) * a_i + g_C * c_i``, is negative form
+        the next set, which under F-beta's ratio N / A minimizes N - E(S) * A;
+        the first set not scoring strictly lower than S ends it, returning S.
         """
-        pair = self.pair
-        if self.kind == "accuracy":
-            a, c = pair._weighted
-            return (pair.n_count * c < pair.p_count * a).reshape(pair.grid.shape)
-        k = self.k if descent == "derivative" else self.beta**2
-        order, pos, neg = pair._ratio_order
-        score = np.full(pos.shape, np.inf)
-        np.divide(k * (2.0 * pair._half_mass[0] - pos) + neg, pos, out=score,
-                  where=pos >= _MASS_FLOOR)
-        mask = np.zeros(order.size, dtype=bool)
-        mask[order[:int(np.argmin(score)) + 1]] = True
-        return mask.reshape(pair.grid.shape)
+        weighted = self.pair._weighted
+        total_pos = 2.0 * self.pair._half_mass[0]
+        mask = best = weighted[0] > 0
+        score = math.inf
+        while True:
+            a, c = (weighted @ mask).tolist()
+            try:
+                g, (g_a, g_b, g_c) = self._objective(descent, a, total_pos - a, c)
+            except VanishingPositiveMassError:
+                g = math.inf
+            if not g < score:
+                return best.reshape(self.pair.grid.shape)
+            best, score = mask, g
+            mask = np.array([g_a - g_b, g_c]) @ weighted < 0
 
     def stationarity_residual(self, u: ScalarField, fractions: tuple = None) -> float:
         """Largest gradient magnitude on the active band around the zero set.

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DataError,
     DimensionError,
     InvalidShapeError,
     NonFiniteError,
@@ -72,7 +73,8 @@ class GridSpec:
         if len(res) != len(bounds):
             raise ValueError(f"resolution has {len(res)} axes, bounds {len(bounds)}")
         for (lo, hi) in bounds:
-            if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
+            # a width that overflows would make the spacing and every node inf
+            if not (hi > lo and math.isfinite(hi - lo)):
                 raise ValueError(f"invalid axis bounds ({lo}, {hi})")
         for r in res:
             if r < 1:
@@ -123,10 +125,14 @@ class GridSpec:
         # per-feature columns, by the column rule in ofc.data's docstring
         cols = np.ascontiguousarray(pts.T)
         lo, hi = cols.min(axis=1), cols.max(axis=1)
-        width = hi - lo
-        # a constant feature still needs a usable axis
-        pad = np.where(width > 0, _MARGIN * width, np.maximum(1.0, np.abs(lo)) * _MARGIN)
-        return cls(tuple(zip(lo - pad, hi + pad)), resolution)
+        with np.errstate(over="ignore"):
+            width = hi - lo
+            # a constant feature still needs a usable axis
+            pad = np.where(width > 0, _MARGIN * width, np.maximum(1.0, np.abs(lo)) * _MARGIN)
+            lo, hi = lo - pad, hi + pad
+            if not np.isfinite(hi - lo).all():
+                raise DataError("a feature's padded range overflows a float; rescale the data")
+        return cls(tuple(zip(lo, hi)), resolution)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

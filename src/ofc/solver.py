@@ -4,8 +4,8 @@ Unless the config names an initial shape, the decision field starts at
 the exact minimizer of the sign-pattern energy on the grid
 (:meth:`~ofc.energy.MeasureEnergy._optimum_mask`): +1 on the optimal node
 set and -1 off it, redistanced.  That puts the front where the densities
-want it with one sort, so the flow below only has to refine it.  It then
-evolves by explicit descent steps
+want it in a few matrix products, so the flow below only refines it.  It
+then evolves by explicit descent steps
 
     u <- u - dt * (descent_direction - lambda * laplacian(u))
 

@@ -34,11 +34,11 @@ from ofc.field import (
     ScalarField,
     Sphere,
     SphereLattice,
-    _quadrature_weights,
     init_shape,
     interpolate,
 )
 from ofc.solver import TrainConfig, reinitialize, train
+from test_energy import uncached_optimum_mask
 
 
 def manual_model(u, degenerate=False, config=None):
@@ -133,28 +133,12 @@ def test_default_fits_take_no_dt_halving(resolution):
         assert trace.dt_halvings == 0, f"db{db}"
 
 
-def uncached_optimum_mask(pair, k):
-    """The F-beta optimum's node mask, computed from the densities afresh."""
-    w = _quadrature_weights(pair.grid)
-    weighted = np.stack([pair.f_pos.values * w, pair.f_neg.values * w]).reshape(2, -1)
-    half_pos = (0.5 * weighted.sum(axis=1)).tolist()[0]
-    a, c = weighted
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        order = np.argsort(c / a, kind="stable")
-    pos, neg = np.cumsum(a[order]), np.cumsum(c[order])
-    score = np.full(pos.shape, np.inf)
-    np.divide(k * (2.0 * half_pos - pos) + neg, pos, out=score, where=pos >= 1e-12)
-    mask = np.zeros(a.size, dtype=bool)
-    mask[order[:int(np.argmin(score)) + 1]] = True
-    return mask.reshape(pair.grid.shape)
-
-
 @pytest.mark.parametrize("db", [1, 2, 3, 4])
 def test_pair_cache_is_shared_read_only_and_exact(db):
     data = fold0_train(db)
     cfg = TrainConfig(resolution=32)
     pair = densities_for(data, cfg)
-    cached = [pair._weighted, pair._stacked, *pair._ratio_order]
+    cached = [pair._weighted, pair._stacked]
     hashes = set()
     for beta in (0.5, 2.0):
         model, _ = train(pair, dataclasses.replace(cfg, beta=beta))
@@ -164,7 +148,7 @@ def test_pair_cache_is_shared_read_only_and_exact(db):
             assert (energy._optimum_mask(descent).tobytes()
                     == uncached_optimum_mask(pair, k).tobytes())
     # both betas read the arrays built for the first
-    assert all(a is b for a, b in zip(cached, [pair._weighted, pair._stacked, *pair._ratio_order]))
+    assert all(a is b for a, b in zip(cached, [pair._weighted, pair._stacked]))
     for a in cached + [pair.f_pos.values, pair.f_neg.values]:
         assert not a.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -642,6 +626,19 @@ def test_load_rejects_facts_it_cannot_use(tmp_path, name, old, new, message):
     path = tmp_path / "edited.ofc"
     path.write_text(text.replace(old, new))
     with pytest.raises(ModelFormatError, match=message):
+        load(path)
+    assert main(["frontier", "--model", str(path), "--out", str(tmp_path / "f.csv")]) == 2
+
+
+def test_load_rejects_a_grid_whose_width_overflows(tmp_path):
+    from ofc.cli import main
+
+    text = (GOLDEN / "v1_default.ofc").read_text()
+    old = "axis 0: -2.9557703773232706 5.535090289220048 17;"
+    assert text.count(old) == 1
+    path = tmp_path / "wide.ofc"
+    path.write_text(text.replace(old, "axis 0: -1e308 1e308 17;"))
+    with pytest.raises(ModelFormatError, match=r"invalid axis bounds \(-1e\+308, 1e\+308\)"):
         load(path)
     assert main(["frontier", "--model", str(path), "--out", str(tmp_path / "f.csv")]) == 2
 

@@ -297,6 +297,17 @@ def test_train_on_non_finite_points_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ends", [("-1e308", "1e308"), ("-8e307", "8e307"), ("1.5e308", "0.1")])
+def test_train_on_a_feature_range_that_overflows_is_data_error(tmp_path, capsys, ends):
+    # warnings are errors under pytest, so an overflow warning would fail here
+    src = tmp_path / "train.csv"
+    src.write_text(f"{ends[0]},0.0,1\n{ends[1]},1.0,0\n0.2,0.5,1\n0.3,0.1,0\n")
+    assert run("train", "--data", src, "--out", tmp_path / "m.txt") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "data error" in err and "overflows" in err
+    assert not (tmp_path / "m.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # frontier / field
 

@@ -94,6 +94,12 @@ class TestFitKde:
         model = fit_kde(np.full((10, 1), 2.0), 0.3)
         assert model.bandwidth[0] == 0.3
 
+    @pytest.mark.parametrize("ends", [(-8e307, 8e307), (0.1, 1.5e308)])
+    def test_spread_that_overflows(self, ends):
+        samples = np.array([[ends[0], 0.0], [ends[1], 1.0], [0.0, 0.5]])
+        with pytest.raises(DegenerateDataError, match="bandwidth must be positive and finite"):
+            fit_kde(samples)
+
     def test_bad_bandwidth(self):
         samples = np.linspace(0, 1, 10)[:, None]
         with pytest.raises(DegenerateDataError):

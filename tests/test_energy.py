@@ -11,7 +11,7 @@ from ofc.density import DensityPair
 from ofc import energy as energy_module
 from ofc.energy import MeasureEnergy
 from ofc.errors import VanishingPositiveMassError
-from ofc.field import GridSpec, ScalarField, integrate
+from ofc.field import GridSpec, ScalarField, _quadrature_weights, integrate
 from ofc.metrics import ConfusionCounts, metrics_from_counts, smoothed_delta
 from toy1d import BAYES_TAU, N_COUNT, P_COUNT, TOY_BOUNDS, normal_pdf, tail_counts, toy_pair
 
@@ -422,6 +422,81 @@ def test_no_mask_scores_below_the_optimum(data):
     flips = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
     mask = optimum ^ flips.reshape(shape)
     assert energy.sign_pattern_energy(mask_field(pair.grid, mask), descent) >= best - 1e-12 * abs(best)
+
+
+def uncached_optimum_mask(pair, k=None):
+    """The sorted-prefix optimum's node mask, computed from the densities
+    afresh: the best prefix of the nodes in stable order of weighted f- over
+    weighted f+, scored as F-beta at ``k``, or as accuracy with ``k`` None."""
+    w = _quadrature_weights(pair.grid)
+    weighted = np.stack([pair.f_pos.values * w, pair.f_neg.values * w]).reshape(2, -1)
+    half_pos = (0.5 * weighted.sum(axis=1)).tolist()[0]
+    a, c = weighted
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        order = np.argsort(c / a, kind="stable")
+    pos, neg = np.cumsum(a[order]), np.cumsum(c[order])
+    if k is None:
+        score = pair.p_count * (2.0 * half_pos - pos) + pair.n_count * neg
+    else:
+        score = np.full(pos.shape, np.inf)
+        np.divide(k * (2.0 * half_pos - pos) + neg, pos, out=score, where=pos >= 1e-12)
+    mask = np.zeros(a.size, dtype=bool)
+    mask[order[:int(np.argmin(score)) + 1]] = True
+    return mask.reshape(pair.grid.shape)
+
+
+def mirrored_pair(shape, seed):
+    """Random densities on a grid of ``shape`` nodes, each its own mirror
+    image through the grid's centre, so nodes tie in ratio in pairs; some
+    nodes hold no mass and some hold negative mass only."""
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(bounds=((0.0, 1.0),) * len(shape), resolution=tuple(n - 1 for n in shape))
+    mirrored = lambda f: f + np.flip(f)
+    fp, fn = (mirrored(f) for f in rng.random((2,) + shape))
+    no_pos, no_mass = (mirrored(rng.random(shape) < p) for p in (0.2, 0.1))
+    fp[no_pos | no_mass] = 0.0
+    fn[no_mass] = 0.0
+    return DensityPair(
+        f_pos=ScalarField(grid, fp),
+        f_neg=ScalarField(grid, fn),
+        p_count=int(rng.integers(1, 100)),
+        n_count=int(rng.integers(1, 1000)),
+    )
+
+
+@pytest.mark.parametrize("shape", [(41,), (9, 8), (5, 4, 6)])
+@pytest.mark.parametrize("seed", range(10))
+def test_optimum_descends_to_the_sorted_prefix_score(shape, seed, monkeypatch):
+    pair = mirrored_pair(shape, seed)
+    iterates = []
+    objective = MeasureEnergy._objective
+
+    def scored(self, descent, a, b, c):
+        try:
+            result = objective(self, descent, a, b, c)
+        except VanishingPositiveMassError:
+            iterates.append(math.inf)
+            raise
+        iterates.append(result[0])
+        return result
+
+    for kind, descent in OBJECTIVES:
+        for beta in (0.1, 0.5, 1.0, 2.0, 10.0):
+            energy = MeasureEnergy(pair, eps=0.05, kind=kind, beta=beta)
+            iterates.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(MeasureEnergy, "_objective", scored)
+                mask = energy._optimum_mask(descent)
+            # every set kept scores strictly lower than the one before it,
+            # and the iteration ends on the first set that does not
+            *kept, last = iterates
+            assert all(later < earlier for earlier, later in zip(kept, kept[1:]))
+            assert not last < kept[-1]
+            best = energy._mask_energy(mask, descent)
+            assert best == kept[-1]
+            k = None if kind == "accuracy" else energy.k if descent == "derivative" else beta**2
+            reference = energy._mask_energy(uncached_optimum_mask(pair, k), descent)
+            assert best <= reference + 1e-12 * abs(reference)
 
 
 def test_constructor_validation():

@@ -6,6 +6,7 @@ from scipy.special import ndtr
 
 from ofc import field as field_module
 from ofc.errors import (
+    DataError,
     GridMismatchError,
     InvalidShapeError,
     ParseError,
@@ -48,6 +49,15 @@ class TestGridSpec:
             GridSpec(((1.0, 1.0),), (8,))
         with pytest.raises(ValueError):
             GridSpec(((2.0, 1.0),), (8,))
+        # finite ends whose width overflows would give an infinite spacing
+        with pytest.raises(ValueError, match="invalid axis bounds"):
+            GridSpec(((-1e308, 1e308),), 8)
+
+    @pytest.mark.parametrize("ends", [(-1e308, 1e308), (-8e307, 8e307), (0.1, 1.5e308)])
+    def test_from_points_refuses_a_range_that_overflows(self, ends):
+        pts = np.array([[ends[0], 0.0], [ends[1], 1.0], [0.0, 0.5]])
+        with pytest.raises(DataError, match="padded range overflows a float"):
+            GridSpec.from_points(pts, 8)
 
     def test_invalid_resolution(self):
         with pytest.raises(ValueError):
